@@ -59,11 +59,13 @@ from .probability import (
     validate,
 )
 from .quantizers import (
+    DecoderCosts,
     DecoderRule,
     Partition,
     QuantizerPoint,
     RDCurve,
     causal_rd_curve,
+    decoder_costs,
     encoder_si_points,
     encoder_si_rd_curve,
     enumerate_partitions,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from .errors import BelowMinimumDistortion, EmptyInput, TooLarge
@@ -20,7 +21,6 @@ from .probability import (
     DistortionMatrix,
     JointPMF,
     TriplePMF,
-    ZERO,
     aggregate_rows,
     conditional_entropy_source_given_si,
     format_rational,
@@ -135,33 +135,65 @@ def enumerate_partitions(alphabet) -> Iterator[Partition]:
             return
 
 
+@dataclass(frozen=True)
+class DecoderCosts:
+    """Integer Bayes-decoder costs of one (pmf, distortion) pair.
+
+    ``cost[x][y][r]`` is P(x, y) * d(x, r) times ``scale``, the product of the
+    lcms of the pmf's and the distortion's denominators, and ``mass[x][y]``
+    says whether P(x, y) > 0.  Built once per cloud, shared by every
+    partition's decoder.
+    """
+
+    scale: int
+    mass: tuple[tuple[bool, ...], ...]
+    cost: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def decoder_costs(pmf: JointPMF, d: DistortionMatrix) -> DecoderCosts:
+    """The integer cost table of ``pmf`` under ``d``; see DecoderCosts."""
+    p_scale = lcm(*(v.denominator for row in pmf.probs for v in row))
+    d_scale = lcm(*(v.denominator for row in d.values for v in row))
+    cost = tuple(
+        tuple(
+            tuple(
+                p.numerator * (p_scale // p.denominator) * v.numerator * (d_scale // v.denominator)
+                for v in d.values[x]
+            )
+            for p in row
+        )
+        for x, row in enumerate(pmf.probs)
+    )
+    mass = tuple(tuple(p > 0 for p in row) for row in pmf.probs)
+    return DecoderCosts(p_scale * d_scale, mass, cost)
+
+
 def optimal_decoder(
-    pmf: JointPMF, partition: Partition, d: DistortionMatrix
+    pmf: JointPMF,
+    partition: Partition,
+    d: DistortionMatrix,
+    costs: DecoderCosts | None = None,
 ) -> tuple[DecoderRule, Fraction]:
     """Bayes decoder per (cell, y) pair with exact expected distortion.
 
     The reproduction minimizing the posterior expected distortion is chosen;
-    ties break toward the lowest reproduction index.
+    ties break toward the lowest reproduction index.  ``costs`` is
+    ``decoder_costs(pmf, d)``, computed here when not given.
     """
-    blocks = partition.blocks()
-    nrep = len(d.reproduction)
+    if costs is None:
+        costs = decoder_costs(pmf, d)
     table: dict[tuple[int, int], int] = {}
-    total = ZERO
-    for z, members in enumerate(blocks):
+    total = 0
+    for z, members in enumerate(partition.blocks()):
         for y in range(pmf.ncols):
-            mass = sum((pmf.probs[x][y] for x in members), ZERO)
-            if mass == 0:
+            rows = [costs.cost[x][y] for x in members if costs.mass[x][y]]
+            if not rows:
                 continue
-            best_cost = None
-            best_rep = 0
-            for rep in range(nrep):
-                cost = sum((pmf.probs[x][y] * d(x, rep) for x in members), ZERO)
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_rep = rep
-            table[(z, y)] = best_rep
-            total += best_cost
-    return DecoderRule(table), total
+            cell = rows[0] if len(rows) == 1 else [sum(col) for col in zip(*rows)]
+            best = min(cell)
+            table[(z, y)] = cell.index(best)
+            total += best
+    return DecoderRule(table), Fraction(total, costs.scale)
 
 
 def quantizer_point(
@@ -169,10 +201,11 @@ def quantizer_point(
     partition: Partition,
     d: DistortionMatrix,
     solve_cap: int = DEFAULT_SYMBOL_CAP,
+    costs: DecoderCosts | None = None,
 ) -> QuantizerPoint:
     induced = aggregate_rows(pmf, partition.cells)
     protocol, rate = solve_ri(induced, max_symbols=solve_cap)
-    decoder, distortion = optimal_decoder(pmf, partition, d)
+    decoder, distortion = optimal_decoder(pmf, partition, d, costs)
     return QuantizerPoint(partition, decoder, rate, distortion, protocol, induced, d)
 
 
@@ -185,8 +218,9 @@ def rd_points(
     dominated points and are skipped.  The single-cell partition is always
     present and anchors the envelope at rate exactly 0.
     """
+    costs = decoder_costs(pmf, d)
     return [
-        quantizer_point(pmf, partition, d, solve_cap)
+        quantizer_point(pmf, partition, d, solve_cap, costs)
         for partition in enumerate_partitions(pmf.source)
     ]
 
@@ -230,11 +264,12 @@ def causal_rd_curve(pmf: JointPMF, d: DistortionMatrix) -> RDCurve:
     Distortions stay exact; rates are floats because entropies are
     irrational, so downstream comparisons carry a 1e-9 tolerance.
     """
+    costs = decoder_costs(pmf, d)
     points = []
     for partition in enumerate_partitions(pmf.source):
         induced = aggregate_rows(pmf, partition.cells)
         rate = conditional_entropy_source_given_si(induced)
-        _, distortion = optimal_decoder(pmf, partition, d)
+        _, distortion = optimal_decoder(pmf, partition, d, costs)
         points.append((distortion, rate))
     return lower_convex_envelope(points)
 
@@ -270,8 +305,9 @@ def encoder_si_points(
         d.reproduction,
         tuple(tuple(d(x_of[i], r) for r in range(len(d.reproduction))) for i in range(support.nrows)),
     )
+    costs = decoder_costs(support, lifted)
     return [
-        quantizer_point(support, partition, lifted, solve_cap)
+        quantizer_point(support, partition, lifted, solve_cap, costs)
         for partition in enumerate_partitions(support.source)
     ]
 

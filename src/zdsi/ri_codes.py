@@ -5,14 +5,27 @@ edges of the characteristic graph: given the side information, the decoder
 only ever disambiguates confusable symbols.  The empty codeword is therefore
 legal exactly on isolated vertices.
 
-The optimal average length L_Y is found by best-first branch-and-bound:
+The optimal average length L_Y is found by depth-first branch-and-bound:
 symbols are assigned in decreasing-probability order, the incumbent starts at
 the (always feasible) Huffman code, and a symbol's candidate lengths are
 capped by the exact remaining budget
-    P(x) * len < incumbent - committed - sum of 1-bit reservations
-for the still-unassigned non-isolated symbols.  Since codeword design is
-NP-hard in general, the solver refuses instances above a configurable symbol
-cap instead of silently falling back to a heuristic.
+    w(x) * len < incumbent - committed - sum of 1-bit reservations
+for the still-unassigned non-isolated symbols.  The search runs on integer
+weights w = P * lcm(denominators of P) and converts to a Fraction only on
+return.
+
+At each length a symbol tries one word per orbit of the binary-tree
+automorphisms that fix every assigned word; such a map preserves all prefix
+relations, so it carries feasible completions to feasible completions of
+equal length.  With the assigned words' prefixes kept in a trie, the
+candidates of length L are every trie node of length L plus, for each
+shorter trie node (the root included) with an empty child, that child padded
+with zeros (the 0-child only when both are empty).  Each is the
+lexicographically least word of its orbit, so the search meets the first
+optimal assignment of the plain lexicographic search and returns the same
+protocol.  Since codeword design is NP-hard in general, the solver refuses
+instances above a configurable symbol cap instead of silently falling back
+to a heuristic.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import lcm
 
 from .errors import DomainError, TooLarge
 from .graphs import CharacteristicGraph, build_characteristic_graph
@@ -103,14 +116,24 @@ def huffman(p) -> tuple[tuple[str, ...], Fraction]:
     return codes, avg_length(codes, p)
 
 
-def _bit_strings(length: int, first_bit: str | None = None):
-    """All bit strings of the given length in lexicographic order."""
-    if first_bit is None:
-        for bits in product("01", repeat=length):
-            yield "".join(bits)
-    else:
-        for bits in product("01", repeat=length - 1):
-            yield first_bit + "".join(bits)
+def _last_free_word(length: int, words) -> str | None:
+    """Lexicographically greatest word of ``length`` bits conflicting with no word.
+
+    Only paths inside the words' own prefix tree are explored: a prefix that
+    no word extends completes with all ones.  None when every word of that
+    length conflicts.
+    """
+
+    def descend(prefix: str) -> str | None:
+        if any(prefix.startswith(u) for u in words):
+            return None
+        if not any(u.startswith(prefix) for u in words):
+            return prefix + "1" * (length - len(prefix))
+        if len(prefix) == length:
+            return None
+        return descend(prefix + "1") or descend(prefix + "0")
+
+    return descend("")
 
 
 def solve_ri(
@@ -130,60 +153,83 @@ def solve_ri(
             f"{support.nrows} supported symbols exceeds the exactness cap "
             f"{max_symbols}; pass max_symbols to raise it knowingly"
         )
-    g = build_characteristic_graph(support)
+    adjacency = build_characteristic_graph(support).adjacency
     p = marginal_source(support)
-    order = sorted(
-        (v for v in range(support.nrows) if not g.is_isolated(v)),
-        key=lambda v: (-p[v], v),
-    )
+    scale = lcm(*(q.denominator for q in p))
+    w = [q.numerator * (scale // q.denominator) for q in p]
+    order = sorted((v for v in range(support.nrows) if adjacency[v]), key=lambda v: (-w[v], v))
+    # the neighbors of order[i] that are already assigned when it is reached
+    earlier = [[u for u in order[:i] if adjacency[v] >> u & 1] for i, v in enumerate(order)]
 
     # incumbent: Huffman on the support, isolated vertices overridden to the
     # empty codeword (feasible: edges only involve non-isolated vertices)
-    assigned: dict[int, str] = {v: "" for v in range(support.nrows) if g.is_isolated(v)}
-    best_words = dict(assigned)
-    huff = _huffman_codes(p)
+    words = [""] * support.nrows
+    huff = _huffman_codes(w)
+    best_words = list(words)
     for v in order:
         best_words[v] = huff[v]
-    best_value = sum((p[v] * len(best_words[v]) for v in order), ZERO)
+    best = sum(w[v] * len(huff[v]) for v in order)
 
     # 1-bit reservation for each unassigned non-isolated symbol
-    reserve = [ZERO] * (len(order) + 1)
+    reserve = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
-        reserve[i] = reserve[i + 1] + p[order[i]]
+        reserve[i] = reserve[i + 1] + w[order[i]]
 
-    adjacency = g.adjacency
+    # every nonempty prefix of an assigned word, with the number of words under it
+    trie: dict[str, int] = {}
 
-    def recurse(pos: int, committed: Fraction) -> None:
-        nonlocal best_value, best_words
-        if pos == len(order):
-            best_value = committed
-            best_words = dict(assigned)
-            return
+    def candidates(length: int) -> list[str]:
+        """Least word of each orbit of the tree automorphisms fixing the trie."""
+        out = []
+        for t in ("", *trie):
+            k = len(t)
+            if k == length:
+                out.append(t)
+            elif k < length:
+                if t + "0" not in trie:
+                    out.append(t + "0" * (length - k))
+                elif t + "1" not in trie:
+                    out.append(t + "1" + "0" * (length - k - 1))
+        out.sort()
+        return out
+
+    def recurse(pos: int, committed: int) -> None:
+        nonlocal best, best_words
         v = order[pos]
+        weight = w[v]
         rest = reserve[pos + 1]
-        neighbors = [u for u in range(support.nrows) if adjacency[v] >> u & 1 and u in assigned]
-        neighbor_span = max((len(assigned[u]) for u in neighbors), default=0)
+        near = [words[u] for u in earlier[pos]]
+        neighbor_span = max(map(len, near), default=0)
+        last = pos == len(order) - 1
         length = 1
         while True:
-            budget = best_value - committed - rest
-            if budget <= 0:
+            # strict improvement only: committed + weight * length + rest < best
+            if length > (best - committed - rest - 1) // weight:
                 return
-            quota = budget / p[v]
-            lmax = quota.numerator // quota.denominator
-            if quota.denominator == 1:
-                lmax -= 1  # strict improvement only
-            if length > lmax:
-                return
-            # global 0/1 relabeling symmetry: root explores 0-rooted words only
-            first_bit = "0" if pos == 0 else None
             any_feasible = False
-            for word in _bit_strings(length, first_bit):
-                if any(codewords_conflict(word, assigned[u]) for u in neighbors):
-                    continue
-                any_feasible = True
-                assigned[v] = word
-                recurse(pos + 1, committed + p[v] * length)
-                del assigned[v]
+            if last:
+                # the leaf value depends on the length alone; of the shortest
+                # feasible words the greatest is kept
+                word = _last_free_word(length, near)
+                if word is not None:
+                    best = committed + weight * length
+                    best_words = list(words)
+                    best_words[v] = word
+                    return
+            else:
+                for word in candidates(length):
+                    if any(word.startswith(u) or u.startswith(word) for u in near):
+                        continue
+                    any_feasible = True
+                    words[v] = word
+                    for k in range(1, length + 1):
+                        trie[word[:k]] = trie.get(word[:k], 0) + 1
+                    recurse(pos + 1, committed + weight * length)
+                    for k in range(1, length + 1):
+                        if trie[word[:k]] == 1:
+                            del trie[word[:k]]
+                        else:
+                            trie[word[:k]] -= 1
             # once past every neighbor's length, conflicts come only from
             # neighbor words being prefixes; a fully blocked level stays
             # blocked at every longer length
@@ -191,13 +237,15 @@ def solve_ri(
                 return
             length += 1
 
-    recurse(0, ZERO)
+    if order:
+        recurse(0, 0)
 
     # re-embed onto the original alphabet; stripped symbols get the empty word
-    words = [""] * pmf.nrows
+    value = Fraction(best, scale)
+    out = [""] * pmf.nrows
     for local, original in enumerate(kept):
-        words[original] = best_words[local]
-    return RIProtocol(tuple(words), best_value), best_value
+        out[original] = best_words[local]
+    return RIProtocol(tuple(out), value), value
 
 
 def solve_ri_conditional(

@@ -166,7 +166,8 @@ class RateDistortionFunction:
             dist = float(self.p @ (w * self.dmat).sum(axis=1))
             if abs(dist - prev) < self.tol:
                 ratio = np.divide(w, q, out=np.ones_like(w), where=w > 0)
-                rate = float(self.p @ (w * np.log2(ratio, where=ratio > 0)).sum(axis=1))
+                logs = np.log2(ratio, out=np.zeros_like(ratio), where=ratio > 0)
+                rate = float(self.p @ (w * logs).sum(axis=1))
                 return max(rate, 0.0), dist, q
             prev = dist
         raise NoConvergence(
