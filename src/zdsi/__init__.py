@@ -38,7 +38,6 @@ from .multiterminal import (
     enumerate_mt_points,
     is_achievable,
     pareto_surface,
-    simultaneous_points,
 )
 from .probability import (
     Alphabet,

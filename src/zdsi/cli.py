@@ -16,11 +16,12 @@ from fractions import Fraction
 from . import fixtures
 from .errors import ParseError, ValidationError, ZdsiError
 from .multiterminal import (
+    MTRegion,
     build_region,
+    enumerate_mt_points,
     export_region_csv,
     export_witness_csv,
     is_achievable,
-    simultaneous_points,
 )
 from .probability import (
     Alphabet,
@@ -246,9 +247,8 @@ def _cmd_mt_region(args) -> int:
     region = build_region(pmf, dx, dy)
     lines = [export_region_csv(region)]
     if args.simultaneous:
-        from .multiterminal import MTRegion
-
-        lines.append(export_region_csv(MTRegion(tuple(simultaneous_points(pmf, dx, dy)))).split("\n", 1)[1])
+        sim = MTRegion(tuple(enumerate_mt_points(pmf, dx, dy, "SIM")))
+        lines.append(export_region_csv(sim).split("\n", 1)[1])
     if args.query:
         parts = args.query.split(",")
         if len(parts) != 4:

@@ -3,31 +3,45 @@
 Each base point fixes a partition of X and a partition of Y plus the order of
 decoding.  Under order YX the Y-message is decoded first with no side
 information (plain Huffman rate L(V)) and then serves as SI for the X-message
-(RI rate L_V(U)); order XY is symmetric.  The region is the dominance-and-
-convexity closure of both clouds; membership is an exact rational linear
-feasibility problem whose basic solutions automatically give time-sharing
-witnesses with support at most 5 (one weight per tableau row).
+(RI rate L_V(U)); order XY is symmetric.  Both decoders are
+``quantizers.optimal_decoder``: the X decoder on the (x, v) joint with Y
+merged by its partition, the Y decoder on the (y, u) joint with X merged, each
+with one integer cost table per partition.
+
+The region is the dominance-and-convexity closure of both clouds; membership
+is an exact rational linear feasibility problem whose basic solutions
+automatically give time-sharing witnesses with support at most 5 (one weight
+per tableau row).  The phase-1 simplex is fraction-free: rows are lists of
+ints over one denominator each (as in Bareiss elimination), holding exactly
+the values of a Fraction tableau, so Bland's rule makes the same pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
+from .errors import DomainError
 from .probability import (
     DistortionMatrix,
     JointPMF,
-    ONE,
     ZERO,
     aggregate_rows,
     format_rational,
-    marginal_source,
+    marginal_si,
     transpose,
 )
-from .quantizers import DecoderRule, Partition, enumerate_partitions
-from .ri_codes import DEFAULT_SYMBOL_CAP, _huffman_codes, avg_length, solve_ri
+from .quantizers import (
+    DecoderRule,
+    Partition,
+    decoder_costs,
+    enumerate_partitions,
+    optimal_decoder,
+)
+from .ri_codes import DEFAULT_SYMBOL_CAP, huffman, solve_ri
 
-ORDERS = ("YX", "XY")
+ORDERS = ("YX", "XY", "SIM")
 
 
 @dataclass(frozen=True)
@@ -63,60 +77,6 @@ class AchievabilityResult:
     witness: tuple[tuple[Fraction, MTPoint], ...] | None
 
 
-def _positive_weight_huffman_length(weights) -> Fraction:
-    support = [w for w in weights if w > 0]
-    if len(support) <= 1:
-        return ZERO
-    codes = _huffman_codes(support)
-    return avg_length(codes, support)
-
-
-def _pair_joint(pmf: JointPMF, px: Partition, py: Partition) -> JointPMF:
-    """Induced joint P(u, v) of the two cell indices."""
-    rows_merged = aggregate_rows(pmf, px.cells)
-    return transpose(aggregate_rows(transpose(rows_merged), py.cells, name="V"))
-
-
-def _joint_decoders(
-    pmf: JointPMF,
-    px: Partition,
-    py: Partition,
-    d_x: DistortionMatrix,
-    d_y: DistortionMatrix,
-) -> tuple[DecoderRule, DecoderRule, Fraction, Fraction]:
-    """Bayes decoders per (u, v) with exact expected distortions."""
-    blocks_x = px.blocks()
-    blocks_y = py.blocks()
-    table_x: dict[tuple[int, int], int] = {}
-    table_y: dict[tuple[int, int], int] = {}
-    total_x = ZERO
-    total_y = ZERO
-    for u, xs in enumerate(blocks_x):
-        for v, ys in enumerate(blocks_y):
-            mass = sum((pmf.probs[x][y] for x in xs for y in ys), ZERO)
-            if mass == 0:
-                continue
-            best, rep = None, 0
-            for r in range(len(d_x.reproduction)):
-                cost = sum(
-                    (pmf.probs[x][y] * d_x(x, r) for x in xs for y in ys), ZERO
-                )
-                if best is None or cost < best:
-                    best, rep = cost, r
-            table_x[(u, v)] = rep
-            total_x += best
-            best, rep = None, 0
-            for r in range(len(d_y.reproduction)):
-                cost = sum(
-                    (pmf.probs[x][y] * d_y(y, r) for x in xs for y in ys), ZERO
-                )
-                if best is None or cost < best:
-                    best, rep = cost, r
-            table_y[(u, v)] = rep
-            total_y += best
-    return DecoderRule(table_x), DecoderRule(table_y), total_x, total_y
-
-
 def enumerate_mt_points(
     pmf: JointPMF,
     d_x: DistortionMatrix,
@@ -124,42 +84,48 @@ def enumerate_mt_points(
     order: str,
     solve_cap: int = DEFAULT_SYMBOL_CAP,
 ) -> list[MTPoint]:
-    """One point per (partition of X, partition of Y) pair for one order."""
+    """One point per (partition of X, partition of Y) pair for one order.
+
+    ``order`` is "YX" or "XY" for the region's two decoding orders, or "SIM"
+    for the simpler variant that Huffman-codes both messages with no
+    cross-SI (for comparison only; those points are not part of the region).
+    """
     if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+        raise DomainError(f"order must be one of {ORDERS}, got {order!r}")
+    parts_x = list(enumerate_partitions(pmf.source))
+    parts_y = list(enumerate_partitions(pmf.si))
+    # built once per partition: the (x, v) joints with Y merged, the (y, u)
+    # joints with X merged, their decoder cost tables and the Huffman
+    # lengths L(V) and L(U) of the merged marginals
+    cols = [transpose(aggregate_rows(transpose(pmf), py.cells, name="V")) for py in parts_y]
+    rows = [transpose(aggregate_rows(pmf, px.cells)) for px in parts_x]
+    cost_x = [decoder_costs(joint, d_x) for joint in cols]
+    cost_y = [decoder_costs(joint, d_y) for joint in rows]
+    len_v = [_huffman_length(marginal_si(joint)) for joint in cols]
+    len_u = [_huffman_length(marginal_si(joint)) for joint in rows]
     points = []
-    for px in enumerate_partitions(pmf.source):
-        for py in enumerate_partitions(pmf.si):
-            joint_uv = _pair_joint(pmf, px, py)
+    for i, px in enumerate(parts_x):
+        for j, py in enumerate(parts_y):
+            joint_uv = aggregate_rows(cols[j], px.cells)
             if order == "YX":
-                ry = _positive_weight_huffman_length(marginal_source(transpose(joint_uv)))
+                ry = len_v[j]
                 _, rx = solve_ri(joint_uv, max_symbols=solve_cap)
-            else:
-                rx = _positive_weight_huffman_length(marginal_source(joint_uv))
+            elif order == "XY":
+                rx = len_u[i]
                 _, ry = solve_ri(transpose(joint_uv), max_symbols=solve_cap)
-            gx, gy, dx, dy = _joint_decoders(pmf, px, py, d_x, d_y)
+            else:
+                rx, ry = len_u[i], len_v[j]
+            gx, dx = optimal_decoder(cols[j], px, d_x, cost_x[j])
+            gy, dy = optimal_decoder(rows[i], py, d_y, cost_y[i])
+            # the Y table is keyed (v, u); re-key it in the X table's u-major order
+            gy = DecoderRule({(u, v): gy.table[(v, u)] for u, v in gx.table})
             points.append(MTPoint(order, px, py, gx, gy, rx, ry, dx, dy))
     return points
 
 
-def simultaneous_points(
-    pmf: JointPMF,
-    d_x: DistortionMatrix,
-    d_y: DistortionMatrix,
-) -> list[MTPoint]:
-    """Simpler variant: both messages Huffman-coded with no cross-SI.
-
-    Exposed for comparison only; these points are not part of the region.
-    """
-    points = []
-    for px in enumerate_partitions(pmf.source):
-        for py in enumerate_partitions(pmf.si):
-            joint_uv = _pair_joint(pmf, px, py)
-            rx = _positive_weight_huffman_length(marginal_source(joint_uv))
-            ry = _positive_weight_huffman_length(marginal_source(transpose(joint_uv)))
-            gx, gy, dx, dy = _joint_decoders(pmf, px, py, d_x, d_y)
-            points.append(MTPoint("SIM", px, py, gx, gy, rx, ry, dx, dy))
-    return points
+def _huffman_length(marginal) -> Fraction:
+    """Huffman length of a marginal's positive part (0 for a single symbol)."""
+    return huffman([w for w in marginal if w > 0])[1]
 
 
 def build_region(
@@ -174,64 +140,81 @@ def build_region(
     return MTRegion(tuple(points))
 
 
+def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
+    """The row and its denominator divided by their common gcd."""
+    g = gcd(*row, den)
+    return ([v // g for v in row], den // g) if g > 1 else (row, den)
+
+
 def _feasible_mixture(vectors, target) -> list[Fraction] | None:
     """Exact phase-1 simplex: weights lambda >= 0, sum 1, mix <= target.
 
-    Bland's rule guarantees termination; a basic feasible solution has at
+    Fraction-free: each tableau row, and the objective row, is a list of
+    ints over one positive denominator, reduced by their gcd after every
+    update, so it holds exactly the values of a Fraction tableau.  Bland's
+    rule (first negative reduced cost enters; ratio ties leave the lower
+    basis index) guarantees termination; a basic feasible solution has at
     most 5 nonzero weights (the tableau has 5 rows).
     """
     n = len(vectors)
     rows = 5
     # columns: n lambdas, 4 slacks, 5 artificials, rhs
-    slack0, art0, rhs_col = n, n + 4, n + 9
-    tableau = []
+    art0, rhs_col = n + 4, n + 9
+    tableau: list[list[int]] = []
+    dens: list[int] = []
     for k in range(4):
-        row = [Fraction(v[k]) for v in vectors]
-        row += [ONE if j == k else ZERO for j in range(4)]
-        row += [ZERO] * 5
-        row.append(Fraction(target[k]))
-        tableau.append(row)
-    row = [ONE] * n + [ZERO] * 4 + [ZERO] * 5 + [ONE]
-    tableau.append(row)
+        values = [Fraction(v[k]) for v in vectors] + [Fraction(target[k])]
+        den = lcm(*(v.denominator for v in values))
+        scaled = [v.numerator * (den // v.denominator) for v in values]
+        tableau.append(scaled[:n] + [den if j == k else 0 for j in range(4)] + [0] * 5 + scaled[n:])
+        dens.append(den)
+    tableau.append([1] * n + [0] * 9 + [1])
+    dens.append(1)
     for r in range(rows):
         if tableau[r][rhs_col] < 0:
             tableau[r] = [-v for v in tableau[r]]
-        tableau[r][art0 + r] = ONE
+        tableau[r][art0 + r] = dens[r]
     basis = [art0 + r for r in range(rows)]
     # phase-1 objective: minimize sum of artificials
-    obj = [ZERO] * (rhs_col + 1)
+    obj_den = lcm(*dens)
+    obj = [0] * (rhs_col + 1)
+    for row, den in zip(tableau, dens):
+        f = obj_den // den
+        obj = [a - f * b for a, b in zip(obj, row)]
     for r in range(rows):
-        for j in range(rhs_col + 1):
-            obj[j] -= tableau[r][j]
-    for r in range(rows):
-        obj[art0 + r] = ZERO
+        obj[art0 + r] = 0
+    obj, obj_den = _reduce(obj, obj_den)
 
     while True:
-        enter = next(
-            (j for j in range(art0) if obj[j] < 0), None
-        )
+        enter = next((j for j in range(art0) if obj[j] < 0), None)
         if enter is None:
             break
-        leave, best = None, None
+        # ratios rhs / coef compared by cross-multiplication (coef > 0)
+        leave = None
         for r in range(rows):
             coef = tableau[r][enter]
             if coef > 0:
-                ratio = tableau[r][rhs_col] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best, leave = ratio, r
+                if leave is None:
+                    leave = r
+                    continue
+                here = tableau[r][rhs_col] * tableau[leave][enter]
+                best = tableau[leave][rhs_col] * coef
+                if here < best or (here == best and basis[r] < basis[leave]):
+                    leave = r
         if leave is None:
             return None  # cannot happen in phase 1; defensive
-        pivot = tableau[leave][enter]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
+        # dividing the pivot row by its entry leaves the ints over that entry
+        pivot_row, pivot = _reduce(tableau[leave], tableau[leave][enter])
+        tableau[leave], dens[leave] = pivot_row, pivot
         for r in range(rows):
-            if r != leave and tableau[r][enter] != 0:
-                f = tableau[r][enter]
-                tableau[r] = [a - f * b for a, b in zip(tableau[r], tableau[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+            f = tableau[r][enter]
+            if r != leave and f != 0:
+                tableau[r], dens[r] = _reduce(
+                    [a * pivot - f * b for a, b in zip(tableau[r], pivot_row)], dens[r] * pivot
+                )
+        f = obj[enter]
+        if f != 0:
+            obj, obj_den = _reduce([a * pivot - f * b for a, b in zip(obj, pivot_row)], obj_den * pivot)
         basis[leave] = enter
 
     if obj[rhs_col] != 0:
@@ -239,7 +222,7 @@ def _feasible_mixture(vectors, target) -> list[Fraction] | None:
     weights = [ZERO] * n
     for r, b in enumerate(basis):
         if b < n:
-            weights[b] = tableau[r][rhs_col]
+            weights[b] = Fraction(tableau[r][rhs_col], dens[r])
     return weights
 
 
@@ -250,6 +233,8 @@ def is_achievable(region: MTRegion, target) -> AchievabilityResult:
     combination of base points is coordinate-wise <= target.
     """
     target = tuple(Fraction(t) for t in target)
+    if len(target) != 4:
+        raise DomainError(f"target needs 4 coordinates (Rx, Ry, Dx, Dy), got {len(target)}")
     vectors = [p.coords for p in region.points]
     weights = _feasible_mixture(vectors, target)
     if weights is None:

@@ -144,3 +144,64 @@ def oracle_best_decoder_distortion(pmf: JointPMF, cells, dmat) -> Fraction:
         if best is None or total < best:
             best = total
     return best
+
+
+def oracle_feasible_mixture(vectors, target) -> list[Fraction] | None:
+    """Phase-1 simplex over a Fraction tableau with Bland's rule.
+
+    Weights lambda >= 0 with sum 1 and mix <= target, or None.  Columns are
+    the lambdas, 4 slacks, 5 artificials and the rhs; rows with a negative
+    rhs are negated before the artificials are set.  The entering column is
+    the first negative reduced cost and ratio ties leave the row with the
+    lower basis index, so the library's integer tableau must return the same
+    basic solution.
+    """
+    one, zero = Fraction(1), Fraction(0)
+    n = len(vectors)
+    rows = 5
+    art0, rhs_col = n + 4, n + 9
+    tableau = []
+    for k in range(4):
+        row = [Fraction(v[k]) for v in vectors]
+        row += [one if j == k else zero for j in range(4)]
+        row += [zero] * 5
+        row.append(Fraction(target[k]))
+        tableau.append(row)
+    tableau.append([one] * n + [zero] * 9 + [one])
+    for r in range(rows):
+        if tableau[r][rhs_col] < 0:
+            tableau[r] = [-v for v in tableau[r]]
+        tableau[r][art0 + r] = one
+    basis = [art0 + r for r in range(rows)]
+    obj = [-sum((tableau[r][j] for r in range(rows)), zero) for j in range(rhs_col + 1)]
+    for r in range(rows):
+        obj[art0 + r] = zero
+    while True:
+        enter = next((j for j in range(art0) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for r in range(rows):
+            coef = tableau[r][enter]
+            if coef > 0:
+                ratio = tableau[r][rhs_col] / coef
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        assert leave is not None, "phase 1 is bounded below by 0"
+        pivot = tableau[leave][enter]
+        tableau[leave] = [v / pivot for v in tableau[leave]]
+        for r in range(rows):
+            if r != leave and tableau[r][enter] != 0:
+                f = tableau[r][enter]
+                tableau[r] = [a - f * b for a, b in zip(tableau[r], tableau[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+        basis[leave] = enter
+    if obj[rhs_col] != 0:
+        return None
+    weights = [zero] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            weights[b] = tableau[r][rhs_col]
+    return weights

@@ -1,8 +1,9 @@
 """Property-based differential tests of the exact kernels against the oracles.
 
-``solve_ri`` is compared with the exhaustive RI search and ``optimal_decoder``
-with the brute force over all decoder rules, both from ``conftest``.  The
-examples are derandomized so every run checks the same instances.
+``solve_ri`` is compared with the exhaustive RI search, ``optimal_decoder``
+with the brute force over all decoder rules, and the integer simplex behind
+``is_achievable`` with a Fraction-tableau simplex, all from ``conftest``.
+The examples are derandomized so every run checks the same instances.
 """
 
 from fractions import Fraction
@@ -14,8 +15,10 @@ from conftest import (
     _conflict,
     oracle_best_decoder_distortion,
     oracle_confusability,
+    oracle_feasible_mixture,
     oracle_optimal_ri_length,
 )
+from zdsi.multiterminal import _feasible_mixture
 from zdsi.probability import JointPMF, distortion_matrix, integer_alphabet
 from zdsi.quantizers import enumerate_partitions, optimal_decoder
 from zdsi.ri_codes import solve_ri
@@ -95,3 +98,37 @@ def test_optimal_decoder_matches_brute_force(data):
                 ]
                 assert decoder.table[(z, y)] == costs.index(min(costs))
     assert set(decoder.table) == pairs
+
+
+# few distinct small coordinates: repeated values, zero right-hand sides and
+# equal ratios make degenerate pivots and Bland ties common
+coordinates = st.sampled_from([Fraction(v) for v in ("0", "0", "1", "1", "2", "1/2", "3/4", "-1")])
+
+
+@st.composite
+def targets(draw, vectors):
+    """A mix of the points plus slack, a point's own coordinates per axis
+    (ties with the weight-sum row), or any small target."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(vectors), max_size=len(vectors)))
+        total = sum(weights) or 1
+        slack = draw(st.tuples(*[st.sampled_from([0, 0, Fraction(1, 4), Fraction(-1, 4)])] * 4))
+        return tuple(
+            sum((Fraction(w, total) * v[k] for w, v in zip(weights, vectors)), Fraction(0)) + slack[k]
+            for k in range(4)
+        )
+    if kind == 1:
+        return tuple(draw(st.sampled_from([v[k] for v in vectors])) for k in range(4))
+    return draw(st.tuples(coordinates, coordinates, coordinates, coordinates))
+
+
+@settings(max_examples=200, **EXACT)
+@given(st.data())
+def test_feasible_mixture_matches_fraction_tableau(data):
+    vectors = data.draw(
+        st.lists(st.tuples(coordinates, coordinates, coordinates, coordinates), min_size=1, max_size=10)
+    )
+    # several targets per region: a Bland tie changes the weights only rarely
+    for target in data.draw(st.lists(targets(vectors), min_size=10, max_size=10)):
+        assert _feasible_mixture(vectors, target) == oracle_feasible_mixture(vectors, target)

@@ -23,7 +23,6 @@ from zdsi.multiterminal import (
     is_achievable,
     MTRegion,
     pareto_surface,
-    simultaneous_points,
 )
 from zdsi.probability import (
     hamming,
@@ -32,6 +31,7 @@ from zdsi.probability import (
     marginal_source,
 )
 from zdsi.quantizers import lower_convex_envelope, rd_points
+from zdsi.errors import DomainError
 from zdsi.ri_codes import huffman, solve_ri
 from zdsi.fixtures import mt_binary
 
@@ -165,13 +165,21 @@ def test_constant_si_collapses_to_single_user_envelope():
 
 def test_enumerate_rejects_unknown_order():
     pmf, dx, dy = mt_binary()
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         enumerate_mt_points(pmf, dx, dy, "XX")
+
+
+@pytest.mark.parametrize("target", [(0, 1, 0), (0, 1, 0, 0, 0), ()])
+def test_is_achievable_rejects_targets_without_four_coordinates(target):
+    pmf, dx, dy = mt_binary()
+    region = build_region(pmf, dx, dy)
+    with pytest.raises(DomainError):
+        is_achievable(region, target)
 
 
 def test_simultaneous_variant_never_beats_region_rates():
     pmf, dx, dy = mt_binary()
-    sim = simultaneous_points(pmf, dx, dy)
+    sim = enumerate_mt_points(pmf, dx, dy, "SIM")
     yx = enumerate_mt_points(pmf, dx, dy, "YX")
     for s, p in zip(sorted(sim, key=lambda t: (t.partition_x.cells, t.partition_y.cells)),
                     sorted(yx, key=lambda t: (t.partition_x.cells, t.partition_y.cells))):

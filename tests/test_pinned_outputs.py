@@ -1,4 +1,4 @@
-"""Pinned outputs of the quantizer cloud: same protocols, same witnesses.
+"""Pinned outputs of the quantizer cloud and the multiterminal region.
 
 Every partition of a fixed set of problems is reduced to one text line
 (partition, RI codewords, rate, sorted decoder table, distortion) and the
@@ -6,6 +6,11 @@ lines are hashed.  The digest below was recorded once with the original
 Fraction-arithmetic solvers; any faster kernel must reproduce it byte for
 byte, so a change that returns a different (even equally optimal) codeword
 assignment or breaks a decoder tie differently fails here.
+
+The region digest does the same for every multiterminal base point (order,
+both partitions, both decoder tables in insertion order, coordinates) and
+for the membership answers and full witnesses of seeded targets; it was
+recorded with the Fraction-tableau simplex and the per-pair decoders.
 """
 
 import hashlib
@@ -14,7 +19,8 @@ from fractions import Fraction
 
 import pytest
 
-from zdsi.fixtures import c6, fully_connected_example, pentagon, split_cell_channel
+from zdsi.fixtures import c6, fully_connected_example, mt_binary, pentagon, split_cell_channel
+from zdsi.multiterminal import build_region, is_achievable
 from zdsi.probability import (
     Alphabet,
     JointPMF,
@@ -34,6 +40,7 @@ from zdsi.quantizers import (
 from zdsi.ri_codes import solve_ri
 
 CLOUD_DIGEST = "0b562bac2f41a65c0496d7932d09890c582efca72c0826a38555478b522d8ac4"
+REGION_DIGEST = "de794f31ef02ca01dc06b6b0785bc56e7138a3ea7e8d3cda393893a36828540f"
 
 
 def _random_problem(rng: random.Random, nx: int):
@@ -124,6 +131,96 @@ def cloud_lines() -> list[str]:
 def test_cloud_digest_matches_original_solvers():
     text = "\n".join(cloud_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == CLOUD_DIGEST
+
+
+def _region_problem(rng: random.Random, nx: int, ny: int):
+    """Joint of nx x ny with Hamming or rational distortions on each side."""
+    while True:
+        weights = [[rng.choice([0, 0, 1, 2, 3, 5]) for _ in range(ny)] for _ in range(nx)]
+        if all(any(row) for row in weights) and all(any(col) for col in zip(*weights)):
+            break
+    total = sum(map(sum, weights))
+    pmf = JointPMF(
+        integer_alphabet("X", nx),
+        integer_alphabet("Y", ny),
+        tuple(tuple(Fraction(w, total) for w in row) for row in weights),
+    )
+
+    def dmat(alphabet):
+        if rng.random() < 0.5:
+            return hamming(alphabet)
+        nrep = rng.randint(2, 3)
+        rows = [
+            [Fraction(rng.choice([0, 1, 1, 2, 3]), rng.choice([1, 2, 3, 7])) for _ in range(nrep)]
+            for _ in range(len(alphabet))
+        ]
+        return distortion_matrix(alphabet, integer_alphabet("R", nrep), rows)
+
+    return pmf, dmat(pmf.source), dmat(pmf.si)
+
+
+def _region_targets(rng: random.Random, region, count: int, first: int):
+    """Alternately a mix of base points plus slack (achievable) and a target
+    pushed below a random nonnegative hyperplane's minimum (unachievable);
+    ``first`` is 0 to start with the mix, 1 to start below a hyperplane."""
+    coords = [p.coords for p in region.points]
+    out = []
+    for q in range(first, first + count):
+        if q % 2 == 0:
+            chosen = [rng.choice(coords) for _ in range(rng.randint(1, 4))]
+            weights = [rng.randint(1, 5) for _ in chosen]
+            total = sum(weights)
+            out.append(tuple(
+                sum((Fraction(w, total) * c[k] for w, c in zip(weights, chosen)), Fraction(0))
+                + Fraction(rng.randint(0, 3), 64)
+                for k in range(4)
+            ))
+            continue
+        c = [0, 0, 0, 0]
+        while not any(c):
+            c = [rng.randint(0, 3) for _ in range(4)]
+        values = [sum(ck * pk for ck, pk in zip(c, p)) for p in coords]
+        low = min(values)
+        base = [v + Fraction(rng.randint(0, 3), 64) for v in rng.choice(coords)]
+        s = (sum(ck * bk for ck, bk in zip(c, base)) - low + Fraction(1, 64)) / sum(ck * ck for ck in c)
+        out.append(tuple(bk - s * ck for bk, ck in zip(base, c)))
+    return out
+
+
+def region_lines() -> list[str]:
+    problems = [("mt_binary", *mt_binary())]
+    rng = random.Random(20130202)
+    for k, shape in enumerate([(3, 3)] * 12 + [(3, 4)] * 4 + [(4, 3)] * 4):
+        problems.append((f"mt{k}", *_region_problem(rng, *shape)))
+    lines = []
+    for k, (name, pmf, dx, dy) in enumerate(problems):
+        region = build_region(pmf, dx, dy)
+        index = {id(p): i for i, p in enumerate(region.points)}
+        for p in region.points:
+            lines.append("|".join((
+                name,
+                p.order,
+                p.partition_x.to_string(),
+                p.partition_y.to_string(),
+                ";".join(f"{u}.{v}>{r}" for (u, v), r in p.decoder_x.table.items()),
+                ";".join(f"{u}.{v}>{r}" for (u, v), r in p.decoder_y.table.items()),
+                ",".join(format_rational(c) for c in p.coords),
+            )))
+        for target in _region_targets(rng, region, 5, k % 2):
+            result = is_achievable(region, target)
+            witness = ";".join(
+                f"{index[id(p)]}*{format_rational(w)}" for w, p in result.witness or ()
+            )
+            lines.append(
+                f"query-{name}|{','.join(format_rational(t) for t in target)}|"
+                f"{'yes' if result.achievable else 'no'}|{witness}"
+            )
+    return lines
+
+
+def test_region_digest_matches_original_solvers():
+    text = "\n".join(region_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == REGION_DIGEST
 
 
 def test_typewriter7_envelope_vertices():
