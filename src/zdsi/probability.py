@@ -9,6 +9,7 @@ appear only in entropy evaluation and Monte Carlo sampling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,11 +303,62 @@ def fully_connected(m: int, p: Fraction) -> JointPMF:
     return JointPMF(source, si, probs)
 
 
+def _stream_key(seed, *stream) -> np.ndarray:
+    entropy = (int(seed),) + tuple(int(s) for s in stream)
+    return np.random.SeedSequence(entropy=entropy).generate_state(2, np.uint64)
+
+
 def _generator(seed, *stream) -> np.random.Generator:
     """Counter-based Philox generator; streams keyed by (seed, *stream)."""
-    entropy = (int(seed),) + tuple(int(s) for s in stream)
-    key = np.random.SeedSequence(entropy=entropy).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, *stream)))
+
+
+def _trial_generators(seed):
+    """Yield the generators `_generator(seed, k)` for k = 0, 1, 2, ...
+
+    One Philox is re-keyed in place for each trial, so every item is the same
+    Generator object: finish trial k's draws before advancing.  That halves
+    the per-trial cost, because a fresh Philox also seeds itself from OS
+    entropy that the explicit key then overrides.
+    """
+    bitgen = np.random.Philox(key=_stream_key(seed, 0))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # counter, buffer and key of a fresh generator
+    for k in itertools.count():
+        state["state"]["key"] = _stream_key(seed, k)
+        bitgen.state = state
+        yield rng
+
+
+class InverseCDF:
+    """Inverse-CDF sampler over binary64 cell weights that sum to about 1.
+
+    A uniform u in [0, 1) draws cell sum_j [u >= cum_j], the count of
+    cumulative weights at or below u, which is what
+    `np.searchsorted(cum, u, side="right")` returns; on the few cells used
+    here the sum of comparisons is several times faster.  Cells of zero
+    weight repeat the cumulative weight before them, so their comparisons
+    are made once and counted as a step of several cells, and their empty
+    intervals are never drawn.  The CDF is 1.0 from the last positive
+    weight on, above every u: a rounded sum just below 1 cannot hand the
+    remainder to a zero-weight cell after it.
+    """
+
+    def __init__(self, weights):
+        weights = np.asarray(weights, dtype=float)
+        cells = np.flatnonzero(weights > 0)
+        self._first = int(cells[0])
+        # past the cumulative weight of each positive cell but the last,
+        # the draw steps on to the next positive cell
+        cuts = np.cumsum(weights)[cells[:-1]]
+        self._steps = list(zip(cuts.tolist(), np.diff(cells).tolist()))
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Cell index of each uniform in u, with u's shape."""
+        idx = np.full(u.shape, self._first, dtype=np.intp)
+        for cut, step in self._steps:
+            idx += u >= cut if step == 1 else step * (u >= cut)
+        return idx
 
 
 def sample_iid(pmf: JointPMF, n: int, seed: int) -> np.ndarray:
@@ -317,12 +369,8 @@ def sample_iid(pmf: JointPMF, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    flat = np.array([float(v) for row in pmf.probs for v in row])
-    cum = np.cumsum(flat)
-    cum[-1] = 1.0
-    rng = _generator(seed)
-    u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="right")
+    sampler = InverseCDF([float(v) for row in pmf.probs for v in row])
+    idx = sampler(_generator(seed).random(n))
     return np.stack([idx // pmf.ncols, idx % pmf.ncols], axis=1)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, NoConvergence, TooLarge
-from .probability import DistortionMatrix, _generator, entropy_bits
+from .probability import DistortionMatrix, InverseCDF, _trial_generators, entropy_bits
 from .ri_codes import _huffman_codes
 
 CODEBOOK_CAP = 1 << 20
@@ -60,17 +60,12 @@ def threshold_alpha(r: float, h: float) -> float:
     return r / h
 
 
-def _draw(rng: np.random.Generator, cumulative: np.ndarray, shape) -> np.ndarray:
-    return np.searchsorted(cumulative, rng.random(shape), side="right")
-
-
-def _cumulative(prior) -> np.ndarray:
+def _sampler(prior) -> InverseCDF:
+    """Sampler of the normalized prior."""
     weights = np.array([float(p) for p in prior], dtype=float)
     if weights.min() < 0 or weights.sum() <= 0:
         raise DomainError("prior must be nonnegative with positive total")
-    cum = np.cumsum(weights / weights.sum())
-    cum[-1] = 1.0
-    return cum
+    return InverseCDF(weights / weights.sum())
 
 
 def _guard_codebook(count: int, n: int) -> None:
@@ -96,6 +91,8 @@ def simulate_prefix_uniqueness(
     competes with itself.  Trial k uses the RNG stream keyed by (seed, k);
     results are identical under any execution order.
     """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not 0 < alpha <= 1:
@@ -103,12 +100,11 @@ def simulate_prefix_uniqueness(
     count = math.ceil(2.0 ** (n * r))
     _guard_codebook(count, n)
     prefix_len = max(1, math.ceil(n * alpha))
-    cum = _cumulative(prior)
+    draw = _sampler(prior)
     clean = 0
-    for k in range(trials):
-        rng = _generator(seed, k)
-        reference = _draw(rng, cum, prefix_len)
-        book = _draw(rng, cum, (count, prefix_len))
+    for _, rng in zip(range(trials), _trial_generators(seed)):
+        reference = draw(rng.random(prefix_len))
+        book = draw(rng.random((count, prefix_len)))
         if not (book == reference).all(axis=1).any():
             clean += 1
     estimate = clean / trials
@@ -119,13 +115,15 @@ def simulate_prefix_uniqueness(
 class RateDistortionFunction:
     """R(D) with the rate-achieving output prior at each distortion.
 
-    Uniform sources under Hamming distortion use the closed form
-    R(D) = log2(M) - h(D) - D log2(M-1) with a uniform prior; everything
-    else runs alternating-minimization over a bisected slope.
+    Exactly uniform sources under exactly Hamming distortion (compared as
+    `Fraction`s) use the closed form R(D) = log2(M) - h(D) - D log2(M-1)
+    with a uniform prior; everything else runs alternating-minimization
+    over a bisected slope.
     """
 
     def __init__(self, p_x, d: DistortionMatrix, tol: float = 1e-10, max_sweeps: int = 100_000):
-        self.p = np.array([float(Fraction(v)) for v in p_x], dtype=float)
+        probs = [Fraction(v) for v in p_x]
+        self.p = np.array([float(v) for v in probs], dtype=float)
         if abs(self.p.sum() - 1.0) > 1e-12 or self.p.min() <= 0:
             raise DomainError("source distribution must be positive and sum to 1")
         self.dmat = np.array(
@@ -137,11 +135,11 @@ class RateDistortionFunction:
         consts = self.p @ self.dmat  # E d(X, rep) per constant reproduction
         self.best_constant = int(np.argmin(consts))
         self.d_max = float(consts[self.best_constant])
-        uniform = np.allclose(self.p, 1.0 / n)
-        hamming = (
-            n == m
-            and np.allclose(np.diag(self.dmat), 0.0)
-            and np.allclose(self.dmat + np.eye(n), np.ones((n, n)))
+        uniform = len(set(probs)) == 1
+        hamming = n == m and all(
+            v == (0 if i == j else 1)
+            for i, row in enumerate(d.values)
+            for j, v in enumerate(row)
         )
         self._closed_form = uniform and hamming
 
@@ -321,6 +319,8 @@ def simulate_scheme(
     """
     if mode not in ("fixed", "variable"):
         raise DomainError(f"mode must be 'fixed' or 'variable', got {mode!r}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not 0 < alpha <= 1:
@@ -345,17 +345,16 @@ def simulate_scheme(
                 lengths[j] = len(w)
         bits_per_rep = lengths
 
-    cum_source = _cumulative(p_x)
-    cum_prior = _cumulative(prior)
+    draw_source = _sampler(p_x)
+    draw_prior = _sampler(prior)
     dmat = np.array([[float(v) for v in row] for row in d.values], dtype=float)
     threshold = target_d + delta
 
     results = []
     row_index = np.arange(n)
-    for k in range(trials):
-        rng = _generator(seed, k)
-        source = _draw(rng, cum_source, n)
-        book = _draw(rng, cum_prior, (count, n))
+    for _, rng in zip(range(trials), _trial_generators(seed)):
+        source = draw_source(rng.random(n))
+        book = draw_prior(rng.random((count, n)))
         per_letter = dmat[source]  # (n, reps)
         word_dist = per_letter[row_index, book].mean(axis=1)
         hits = np.nonzero(word_dist <= threshold)[0]

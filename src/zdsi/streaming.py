@@ -7,6 +7,10 @@ symbol, parses instantaneously: it reads bits until the consumed string
 equals the codeword of exactly one cell that has positive probability with
 the observed y.  RI feasibility guarantees this always happens within the
 longest candidate length; anything else is a SyncLoss contract violation.
+
+`run_simulation` checks a whole run without stepping: in sync, the bits
+past the decoder's cursor are exactly the current codeword, so each step's
+parse is one of |X| x |Y| outcomes per quantizer, tabulated once.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .errors import BelowMinimumDistortion, SyncLoss
+import numpy as np
+
+from .errors import BelowMinimumDistortion, DomainError, SyncLoss
 from .probability import JointPMF, sample_iid
 from .quantizers import QuantizerPoint, RDCurve
 
@@ -120,6 +126,20 @@ class _Codec:
             self.max_len.append(max((len(w) for w in table), default=0))
         self.decoder = point.decoder
 
+    def parse(self, bits, start: int, y: int) -> tuple[int, int] | None:
+        """Read bits from `start` until they spell a candidate codeword for y.
+
+        Returns (cell, bits used), or None when the bits run out or pass the
+        longest candidate first.
+        """
+        table = self.per_y[y]
+        word = ""
+        while word not in table:
+            if len(word) >= self.max_len[y] or start + len(word) >= len(bits):
+                return None
+            word += bits[start + len(word)]
+        return table[word], len(word)
+
 
 class StreamEncoder:
     """Causal encoder: emits the scheduled quantizer's codeword for f_i(x_t)."""
@@ -148,18 +168,34 @@ class StreamDecoder:
         """Consume bits for one symbol; returns (reproduction index, bits used)."""
         codec = self._codecs[0] if self.t < self._k else self._codecs[1]
         self.t += 1
-        table = codec.per_y[y]
-        limit = codec.max_len[y]
-        word = ""
-        while word not in table:
-            if len(word) >= limit or self.cursor >= len(stream):
-                raise SyncLoss(
-                    f"no candidate codeword matches at t={self.t - 1}, y={y}"
-                )
-            word += stream[self.cursor]
-            self.cursor += 1
-        z = table[word]
-        return codec.decoder(z, y), len(word)
+        parsed = codec.parse(stream, self.cursor, y)
+        if parsed is None:
+            raise SyncLoss(f"no candidate codeword matches at t={self.t - 1}, y={y}")
+        z, used = parsed
+        self.cursor += used
+        return codec.decoder(z, y), used
+
+
+def _step_table(pmf: JointPMF, codec: _Codec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What one in-sync step of a quantizer does, per source x and SI y.
+
+    Returns the length of x's codeword, shape (|X|,), and for each (x, y) of
+    positive probability the bits the decoder's parse consumes reading that
+    codeword given y and the reproduction it decodes, shape (|X|, |Y|).
+    Pairs of zero probability are never drawn; their entries are 0.
+    """
+    length = np.zeros(pmf.nrows, dtype=np.intp)
+    used = np.zeros((pmf.nrows, pmf.ncols), dtype=np.intp)
+    xhat = np.zeros_like(used)
+    for x in range(pmf.nrows):
+        word = codec.codewords[codec.cells[x]]
+        length[x] = len(word)
+        for y in range(pmf.ncols):
+            if pmf.probs[x][y] > 0:
+                # x's own codeword is a candidate given y: the parse stops
+                z, used[x, y] = codec.parse(word, 0, y)
+                xhat[x, y] = codec.decoder(z, y)
+    return length, used, xhat
 
 
 def run_simulation(
@@ -168,40 +204,52 @@ def run_simulation(
     """Drive n i.i.d. pairs through the codec, verifying bit-exact sync.
 
     The decoder must consume exactly the emitted bit count at every stage;
-    a mismatch raises SyncLoss rather than being tallied.  Distortion is
-    measured with the distortion matrix the plan's points were built with.
+    the first stage where it does not raises SyncLoss rather than being
+    tallied.  Distortion is measured with the distortion matrix the plan's
+    points were built with.
+
+    The check is tabulated, not stepped.  While the decoder is in sync its
+    cursor sits at the start of the current codeword and the stream holds
+    exactly that codeword past it, so the step's parse depends only on
+    (quantizer, x, y); by induction over t, parsing each codeword on its own
+    reproduces the sequential cursor up to the first mismatch.  Each parse
+    runs once per alphabet pair and is gathered over the n samples.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError(f"n must be >= 1, got {n}")
     pairs = sample_iid(pmf, n, seed)
-    encoder = StreamEncoder(plan, n)
-    decoder = StreamDecoder(plan, n)
     dmat = plan.point1.dmat
-    dfloat = [[float(v) for v in row] for row in dmat.values]
-    stream: list[str] = []
+    dfloat = np.array([[float(v) for v in row] for row in dmat.values])
+    source_rows = np.arange(pmf.nrows)[:, None]
+    k = plan.stages_of_first(n)
+    dist = np.empty(n)
     total_bits = 0
-    dist_sum = 0.0
     rows: list[tuple] = []
-    for t in range(n):
-        x = int(pairs[t, 0])
-        y = int(pairs[t, 1])
-        word = encoder.encode_step(x)
-        stream.extend(word)
-        total_bits += len(word)
-        xhat, used = decoder.decode_step(stream, y)
-        if used != len(word) or decoder.cursor != total_bits:
-            raise SyncLoss(f"decoder consumed {used} bits of {len(word)} at t={t}")
-        dist_sum += dfloat[x][xhat]
+    for point, start, stop in ((plan.point1, 0, k), (plan.point2, k, n)):
+        codec = _Codec(point)
+        length, used, xhat = _step_table(pmf, codec)
+        xs, ys = pairs[start:stop, 0], pairs[start:stop, 1]
+        lost = np.flatnonzero((used != length[:, None])[xs, ys])
+        if lost.size:
+            t = int(lost[0])
+            x, y = xs[t], ys[t]
+            raise SyncLoss(f"decoder consumed {used[x, y]} bits of {length[x]} at t={start + t}")
+        total_bits += int(np.bincount(xs, minlength=pmf.nrows) @ length)
+        dist[start:stop] = dfloat[source_rows, xhat][xs, ys]
         if trace:
-            rows.append(
+            xhat_rows = xhat.tolist()
+            rows.extend(
                 (
-                    t,
+                    start + t,
                     pmf.source.symbols[x],
                     pmf.si.symbols[y],
-                    word,
-                    dmat.reproduction.symbols[xhat],
+                    codec.codewords[codec.cells[x]],
+                    dmat.reproduction.symbols[xhat_rows[x][y]],
                 )
+                for t, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))
             )
+    # cumsum adds in sample order, as the running sum of a step loop does
+    dist_sum = float(np.cumsum(dist, out=dist)[-1])
     return SimReport(
         n=n,
         total_bits=total_bits,

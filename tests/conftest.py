@@ -11,7 +11,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from zdsi.probability import Alphabet, JointPMF, TriplePMF, integer_alphabet
+from zdsi.errors import SyncLoss
+from zdsi.probability import Alphabet, JointPMF, TriplePMF, integer_alphabet, sample_iid
+from zdsi.streaming import SimReport, StreamDecoder, StreamEncoder
 
 
 def rand_joint_pmf(rng: random.Random, nx: int, ny: int, max_weight: int = 3) -> JointPMF:
@@ -205,3 +207,33 @@ def oracle_feasible_mixture(vectors, target) -> list[Fraction] | None:
         if b < n:
             weights[b] = tableau[r][rhs_col]
     return weights
+
+
+def oracle_stream_report(pmf: JointPMF, plan, n: int, seed: int, trace: bool = False) -> SimReport:
+    """`run_simulation` as a step loop over the per-step codec API.
+
+    Each step encodes x_t onto the growing bitstream, lets the decoder parse
+    from its cursor, and stops at the first step whose consumed bits differ
+    from the emitted ones; the distortion is a running sum in step order.
+    """
+    pairs = sample_iid(pmf, n, seed)
+    encoder = StreamEncoder(plan, n)
+    decoder = StreamDecoder(plan, n)
+    dmat = plan.point1.dmat
+    stream: list[str] = []
+    total_bits = 0
+    dist_sum = 0.0
+    rows = []
+    for t in range(n):
+        x, y = int(pairs[t, 0]), int(pairs[t, 1])
+        word = encoder.encode_step(x)
+        stream.extend(word)
+        total_bits += len(word)
+        xhat, used = decoder.decode_step(stream, y)
+        if used != len(word) or decoder.cursor != total_bits:
+            raise SyncLoss(f"decoder consumed {used} bits of {len(word)} at t={t}")
+        dist_sum += float(dmat.values[x][xhat])
+        rows.append(
+            (t, pmf.source.symbols[x], pmf.si.symbols[y], word, dmat.reproduction.symbols[xhat])
+        )
+    return SimReport(n, total_bits, total_bits / n, dist_sum / n, 0, tuple(rows) if trace else None)

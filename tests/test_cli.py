@@ -203,3 +203,14 @@ def test_mt_region_from_file_with_second_distortion(tmp_path, capsys):
 def test_mt_region_simultaneous_flag(capsys):
     assert dispatch(["mt-region", "--example", "mt-binary", "--simultaneous"]) == 0
     assert "SIM," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-stream", "--example", "pentagon", "--n", "0"],
+    ["simulate-seq", "--example", "mt-binary", "--n", "0", "--trials", "5"],
+    ["pc-estimate", "--n", "0", "--trials", "5"],
+])
+def test_monte_carlo_commands_reject_empty_blocks(argv, capsys):
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: n must be >= 1, got 0\n"

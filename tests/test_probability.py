@@ -6,6 +6,8 @@ Core claims:
     - typewriter support is {x, x+1 mod m} with uniform P_X
     - fully_connected rows are exact conditional distributions
     - sampling is deterministic per seed and matches frequencies at 4 sigma
+    - the inverse-CDF sampler agrees with `searchsorted` on every positive
+      cell and never draws a zero-weight cell
 """
 
 import math
@@ -18,6 +20,7 @@ import pytest
 from conftest import rand_joint_pmf
 from zdsi.errors import ConditionOnZero, NegativeEntry, SumNotOne
 from zdsi.probability import (
+    InverseCDF,
     aggregate_rows,
     conditional_given_si,
     entropy_bits,
@@ -192,3 +195,40 @@ def test_triple_pmf_validation():
     with pytest.raises(ConditionOnZero):
         bad = triple_pmf(alphabets, [[["1"]], [["0"]]])
         bad.pair_joint_given(0, 1)
+
+
+def _searchsorted_draw(weights, u):
+    """The sampler's earlier form: searchsorted on the CDF with cum[-1] = 1."""
+    cum = np.cumsum(np.asarray(weights, dtype=float))
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
+
+
+def test_inverse_cdf_never_draws_a_trailing_zero_cell():
+    weights = [0.1] * 10 + [0.0]
+    assert np.cumsum(weights)[-2] == 0.9999999999999999
+    u = np.array([0.0, 0.05, 0.95, 0.9999999999999998, np.nextafter(1.0, 0.0)])
+    assert _searchsorted_draw(weights, u)[-1] == 10  # the zero cell
+    assert InverseCDF(weights)(u).tolist() == [0, 0, 9, 9, 9]
+
+
+def test_inverse_cdf_matches_searchsorted_on_positive_cells():
+    rng = random.Random(4)
+    gen = np.random.default_rng(4)
+    for _ in range(300):
+        size = rng.randint(1, 8)
+        weights = np.array([rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(size)], dtype=float)
+        if not weights.any():
+            continue
+        weights /= weights.sum()
+        # uniforms, plus every CDF value and its neighbours
+        cum = np.cumsum(weights)
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
+        u = np.concatenate([gen.random(200), edges[edges < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
+        drawn = InverseCDF(weights)(u)
+        assert (weights[drawn] > 0).all()
+        old = _searchsorted_draw(weights, u)
+        on_positive = weights[old] > 0
+        assert np.array_equal(drawn[on_positive], old[on_positive])
+    shaped = InverseCDF([0.0, 0.5, 0.0, 0.5])(gen.random((4, 3)))
+    assert shaped.shape == (4, 3) and set(shaped.ravel().tolist()) <= {1, 3}

@@ -18,7 +18,7 @@ import mpmath
 import pytest
 
 from zdsi.errors import DomainError, TooLarge
-from zdsi.probability import hamming, integer_alphabet
+from zdsi.probability import distortion_matrix, hamming, integer_alphabet
 from zdsi.sequential import (
     pc_lower_bound,
     rd_function,
@@ -148,6 +148,23 @@ def test_rd_function_nonuniform_sanity():
     d = 0.1
     hd = -d * math.log2(d) - (1 - d) * math.log2(1 - d)
     assert rdf.rate(d) == pytest.approx(h - hd, abs=1e-5)
+
+
+def test_rd_function_closed_form_needs_exactly_uniform_hamming():
+    assert rd_function(UNIFORM2, hamming(X2))._closed_form
+    assert rd_function([Fraction(1, 3)] * 3, hamming(integer_alphabet("X", 3)))._closed_form
+    # both inputs below lie within np.allclose's default tolerance of
+    # uniform Hamming
+    eps = Fraction(1, 250_000)
+    near = [Fraction(1, 2) + eps, Fraction(1, 2) - eps]
+    rdf = rd_function(near, hamming(X2))
+    assert not rdf._closed_form
+    # binary source: the optimal output prior is (p - D) / (1 - 2D), not 1/2
+    q0 = rdf.output_prior(0.1)[0]
+    assert q0 == pytest.approx((float(near[0]) - 0.1) / 0.8, abs=1e-6)
+    assert q0 > 0.5 + 2e-6
+    near_hamming = distortion_matrix(X2, X2, [[0, Fraction(10**9 + 1, 10**9)], [1, 0]])
+    assert not rd_function(UNIFORM2, near_hamming)._closed_form
 
 
 def test_rd_function_rejects_bad_source():

@@ -7,13 +7,17 @@ Core claims:
     - empirical rate and distortion approach the plan's exact values
     - parsing works bit by bit: prefix-sharing candidates require reading the
       full codeword, empty-codeword candidates consume nothing
+    - the tabulated sync check reports exactly what the step-by-step
+      encoder/decoder loop reports, including the step where sync is lost
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from zdsi.errors import BelowMinimumDistortion, SyncLoss
+from conftest import oracle_stream_report, rand_joint_pmf
+from zdsi.errors import BelowMinimumDistortion, DomainError, SyncLoss
 from zdsi.probability import (
     aggregate_rows,
     fully_connected,
@@ -174,3 +178,51 @@ def test_schedule_boundary_exact():
     assert all(len(w) == 2 for w in lossless_words)
     zero_words = {encoder.encode_step(x % 4) for x in range(k, n)}
     assert zero_words == {""}
+
+
+def _outcome(simulate, pmf, plan, n, seed):
+    try:
+        return simulate(pmf, plan, n, seed, trace=True)
+    except SyncLoss as exc:
+        return str(exc)
+
+
+def _arbitrary_code_point(rng, pmf, d):
+    """Singleton partition with random codewords, usually RI-infeasible."""
+    partition = Partition(tuple(range(pmf.nrows)))
+    decoder, distortion = optimal_decoder(pmf, partition, d)
+    words = tuple(rng.choice(("", "0", "1", "00", "01", "10", "11")) for _ in range(pmf.nrows))
+    return QuantizerPoint(
+        partition, decoder, Fraction(0), distortion, RIProtocol(words, Fraction(0)),
+        aggregate_rows(pmf, partition.cells), d,
+    )
+
+
+def test_tabulated_check_matches_step_by_step_decoder():
+    rng = random.Random(12)
+    losses = 0
+    for case in range(60):
+        pmf = rand_joint_pmf(rng, rng.randint(2, 4), rng.randint(2, 4))
+        d = hamming(pmf.source)
+        if case % 2:
+            plan = TimeSharePlan(
+                _arbitrary_code_point(rng, pmf, d),
+                _arbitrary_code_point(rng, pmf, d),
+                Fraction(rng.randint(0, 4), 4),
+            )
+        else:
+            cloud = rd_points(pmf, d)
+            curve = lower_convex_envelope(cloud)
+            lo, hi = curve.vertices[0][0], curve.vertices[-1][0]
+            plan = build_plan(curve, cloud, lo + (hi - lo) * Fraction(rng.randint(0, 4), 4))
+        n, seed = rng.choice((1, 2, 7, 300)), rng.randrange(1000)
+        got = _outcome(run_simulation, pmf, plan, n, seed)
+        assert got == _outcome(oracle_stream_report, pmf, plan, n, seed)
+        losses += isinstance(got, str)
+    assert 5 <= losses <= 25  # both outcomes are exercised
+
+
+def test_run_simulation_rejects_empty_block():
+    pmf, plan = pentagon_plan()
+    with pytest.raises(DomainError):
+        run_simulation(pmf, plan, 0, seed=1)
