@@ -58,19 +58,17 @@ from .probability import (
     validate,
 )
 from .quantizers import (
-    DecoderCosts,
     DecoderRule,
     Partition,
     QuantizerPoint,
     RDCurve,
     causal_rd_curve,
-    decoder_costs,
+    decoded_partitions,
     encoder_si_points,
     encoder_si_rd_curve,
     enumerate_partitions,
     lower_convex_envelope,
     optimal_decoder,
-    query,
     rd_points,
 )
 from .ri_codes import (

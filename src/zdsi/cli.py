@@ -165,26 +165,23 @@ def load_problem(path: str) -> ProblemSpec:
     return ProblemSpec(pmf=pmf, distortion=d, distortion_y=d_y, triple=triple)
 
 
+def _load_example(args) -> tuple:
+    """The --example problem, built from the flags its registry entry names."""
+    example = fixtures.EXAMPLES[args.example]
+    values = [getattr(args, flag) for flag in example.flags]
+    if None in values:
+        needs = " and ".join(f"--{flag}" for flag in example.flags)
+        raise ValidationError(f"{args.example} needs {needs}")
+    return example.factory(*values)
+
+
 def _load_single_user(args) -> tuple[JointPMF, DistortionMatrix]:
     if args.file:
         spec = load_problem(args.file)
         return spec.pmf, spec.distortion
-    if args.example in ("pentagon",):
-        return fixtures.pentagon()
-    if args.example == "c6":
-        return fixtures.c6()
-    if args.example == "fully-connected":
-        if args.M is None or args.p is None:
-            raise ValidationError("fully-connected needs --M and --p")
-        return fixtures.fully_connected_example(args.M, Fraction(args.p))
-    if args.example == "split-cell":
-        if args.p is None:
-            raise ValidationError("split-cell needs --p")
-        return fixtures.split_cell_channel(Fraction(args.p))
-    if args.example == "mt-binary":
-        pmf, dx, _ = fixtures.mt_binary()
-        return pmf, dx
-    raise ValidationError("provide --file or --example")
+    if args.example is None:
+        raise ValidationError("provide --file or --example")
+    return _load_example(args)[:2]
 
 
 def _emit(args, text: str) -> None:
@@ -241,9 +238,9 @@ def _cmd_mt_region(args) -> int:
         pmf, dx = spec.pmf, spec.distortion
         dy = spec.distortion_y or hamming(pmf.si)
     else:
-        if args.example != "mt-binary":
+        if args.example is None or not fixtures.EXAMPLES[args.example].multiterminal:
             raise ValidationError("mt-region needs --file or --example mt-binary")
-        pmf, dx, dy = fixtures.mt_binary()
+        pmf, dx, dy = _load_example(args)
     region = build_region(pmf, dx, dy)
     lines = [export_region_csv(region)]
     if args.simultaneous:
@@ -266,7 +263,7 @@ def _cmd_simulate_stream(args) -> int:
     pmf, d = _load_single_user(args)
     cloud = rd_points(pmf, d)
     curve = lower_convex_envelope(cloud)
-    target = Fraction(args.D) if args.D is not None else curve.vertices[0][0]
+    target = args.D if args.D is not None else curve.vertices[0][0]
     plan = build_plan(curve, cloud, target)
     report = run_simulation(pmf, plan, args.n, args.seed, trace=bool(args.trace))
     lines = [
@@ -285,7 +282,7 @@ def _cmd_simulate_stream(args) -> int:
 def _cmd_simulate_seq(args) -> int:
     pmf, d = _load_single_user(args)
     p_x = marginal_source(pmf)
-    target = Fraction(args.D) if args.D is not None else Fraction(1, 8)
+    target = args.D if args.D is not None else Fraction(1, 8)
     rdf = rd_function(p_x, d)
     rate_d, prior = rdf.rate_and_prior(float(target))
     if args.alpha is not None:
@@ -310,7 +307,7 @@ def _cmd_simulate_seq(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    lines = [f"{name}: {desc}" for name, desc in fixtures.EXAMPLES.items()]
+    lines = [f"{name}: {example.description}" for name, example in fixtures.EXAMPLES.items()]
     _emit(args, "\n".join(lines))
     return 0
 
@@ -321,6 +318,14 @@ def _cmd_pc_bound(args) -> int:
     )
     _emit(args, f"estimate={est.estimate!r} half_width={est.half_width!r}")
     return 0
+
+
+def _rational_arg(text: str) -> Fraction:
+    """argparse type for a rational flag: a bad literal is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,11 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--file", help="JSON problem file")
         p.add_argument("--example", choices=sorted(fixtures.EXAMPLES))
         p.add_argument("--M", type=int, help="alphabet size for fully-connected")
-        p.add_argument("--p", help="channel parameter (rational, e.g. 3/10)")
+        p.add_argument("--p", type=_rational_arg, help="channel parameter (rational, e.g. 3/10)")
         p.add_argument("--format", choices=("exact", "float"), default="exact")
         p.add_argument("--out", help="write output to this file instead of stdout")
         if distortion_target:
-            p.add_argument("--D", help="target distortion (rational)")
+            p.add_argument("--D", type=_rational_arg, help="target distortion (rational)")
 
     p = sub.add_parser("solve-ri", help="optimal RI protocol and L_Y")
     common(p)

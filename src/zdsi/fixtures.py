@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
+from .errors import DomainError
 from .probability import (
     DistortionMatrix,
     JointPMF,
@@ -61,7 +63,7 @@ def split_cell_channel(p) -> tuple[JointPMF, DistortionMatrix]:
     """
     p = Fraction(p)
     if not 0 < p <= Fraction(1, 2):
-        raise ValueError(f"needs 0 < p <= 1/2, got {p}")
+        raise DomainError(f"split_cell_channel needs 0 < p <= 1/2, got {p}")
     x = integer_alphabet("X", 5)
     y = integer_alphabet("Y", 5)
     fifth = Fraction(1, 5)
@@ -83,10 +85,22 @@ def split_cell_channel(p) -> tuple[JointPMF, DistortionMatrix]:
     return pmf, hamming(x)
 
 
+class Example(NamedTuple):
+    """A built-in problem: ``factory(*flag values)`` gives (pmf, d), plus d_y if multiterminal."""
+
+    description: str
+    factory: Callable[..., tuple]
+    flags: tuple[str, ...] = ()
+    multiterminal: bool = False
+
+
 EXAMPLES = {
-    "pentagon": "typewriter source on 5 symbols (5-cycle graph, L_Y = 7/5)",
-    "c6": "typewriter source on 6 symbols (bipartite graph, L_Y = 1)",
-    "fully-connected": "uniform source, symmetric-error SI channel (needs --M, --p)",
-    "mt-binary": "perfectly correlated uniform binary pair (multiterminal)",
-    "split-cell": "5-symbol channel where splitting a cell lowers the rate (needs --p)",
+    "pentagon": Example("typewriter source on 5 symbols (5-cycle graph, L_Y = 7/5)", pentagon),
+    "c6": Example("typewriter source on 6 symbols (bipartite graph, L_Y = 1)", c6),
+    "fully-connected": Example("uniform source, symmetric-error SI channel (needs --M, --p)",
+                               fully_connected_example, ("M", "p")),
+    "mt-binary": Example("perfectly correlated uniform binary pair (multiterminal)",
+                         mt_binary, multiterminal=True),
+    "split-cell": Example("5-symbol channel where splitting a cell lowers the rate (needs --p)",
+                          split_cell_channel, ("p",)),
 }

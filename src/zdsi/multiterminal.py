@@ -3,10 +3,10 @@
 Each base point fixes a partition of X and a partition of Y plus the order of
 decoding.  Under order YX the Y-message is decoded first with no side
 information (plain Huffman rate L(V)) and then serves as SI for the X-message
-(RI rate L_V(U)); order XY is symmetric.  Both decoders are
-``quantizers.optimal_decoder``: the X decoder on the (x, v) joint with Y
-merged by its partition, the Y decoder on the (y, u) joint with X merged, each
-with one integer cost table per partition.
+(RI rate L_V(U)); order XY is symmetric.  So each pair is two single-user
+quantizer points, X given Y's cell and Y given X's cell, both from
+``quantizers.decoded_partitions``; each side's joint and decoder are
+computed once per pair and shared by both orders.
 
 The region is the dominance-and-convexity closure of both clouds; membership
 is an exact rational linear feasibility problem whose basic solutions
@@ -32,13 +32,7 @@ from .probability import (
     marginal_si,
     transpose,
 )
-from .quantizers import (
-    DecoderRule,
-    Partition,
-    decoder_costs,
-    enumerate_partitions,
-    optimal_decoder,
-)
+from .quantizers import DecoderRule, Partition, decoded_partitions, enumerate_partitions
 from .ri_codes import DEFAULT_SYMBOL_CAP, huffman, solve_ri
 
 ORDERS = ("YX", "XY", "SIM")
@@ -92,35 +86,35 @@ def enumerate_mt_points(
     """
     if order not in ORDERS:
         raise DomainError(f"order must be one of {ORDERS}, got {order!r}")
-    parts_x = list(enumerate_partitions(pmf.source))
-    parts_y = list(enumerate_partitions(pmf.si))
-    # built once per partition: the (x, v) joints with Y merged, the (y, u)
-    # joints with X merged, their decoder cost tables and the Huffman
-    # lengths L(V) and L(U) of the merged marginals
-    cols = [transpose(aggregate_rows(transpose(pmf), py.cells, name="V")) for py in parts_y]
-    rows = [transpose(aggregate_rows(pmf, px.cells)) for px in parts_x]
-    cost_x = [decoder_costs(joint, d_x) for joint in cols]
-    cost_y = [decoder_costs(joint, d_y) for joint in rows]
+    return _pair_points(pmf, d_x, d_y, (order,), solve_cap)
+
+
+def _pair_points(pmf, d_x, d_y, orders, solve_cap) -> list[MTPoint]:
+    """The points of each order in ``orders`` in turn, from one pass over the pairs."""
+    # the (x, v) joints with Y merged, the (y, u) joints with X merged and
+    # the Huffman lengths L(V) and L(U) of their merged marginals; pair (i, j)
+    # takes its X side from the cloud of cols[j], its Y side from that of rows[i]
+    by_y = transpose(pmf)
+    cols = [transpose(aggregate_rows(by_y, py.cells, name="V")) for py in enumerate_partitions(pmf.si)]
+    rows = [transpose(aggregate_rows(pmf, px.cells)) for px in enumerate_partitions(pmf.source)]
     len_v = [_huffman_length(marginal_si(joint)) for joint in cols]
     len_u = [_huffman_length(marginal_si(joint)) for joint in rows]
-    points = []
-    for i, px in enumerate(parts_x):
-        for j, py in enumerate(parts_y):
-            joint_uv = aggregate_rows(cols[j], px.cells)
-            if order == "YX":
-                ry = len_v[j]
-                _, rx = solve_ri(joint_uv, max_symbols=solve_cap)
-            elif order == "XY":
-                rx = len_u[i]
-                _, ry = solve_ri(transpose(joint_uv), max_symbols=solve_cap)
-            else:
-                rx, ry = len_u[i], len_v[j]
-            gx, dx = optimal_decoder(cols[j], px, d_x, cost_x[j])
-            gy, dy = optimal_decoder(rows[i], py, d_y, cost_y[i])
+    x_side = [list(decoded_partitions(joint, d_x)) for joint in cols]
+    points: dict[str, list[MTPoint]] = {order: [] for order in orders}
+    for i, row in enumerate(rows):
+        for j, (py, joint_vu, gy, dy) in enumerate(decoded_partitions(row, d_y)):
+            px, joint_uv, gx, dx = x_side[j][i]
             # the Y table is keyed (v, u); re-key it in the X table's u-major order
             gy = DecoderRule({(u, v): gy.table[(v, u)] for u, v in gx.table})
-            points.append(MTPoint(order, px, py, gx, gy, rx, ry, dx, dy))
-    return points
+            for order in orders:
+                if order == "YX":
+                    rx, ry = solve_ri(joint_uv, max_symbols=solve_cap)[1], len_v[j]
+                elif order == "XY":
+                    rx, ry = len_u[i], solve_ri(joint_vu, max_symbols=solve_cap)[1]
+                else:
+                    rx, ry = len_u[i], len_v[j]
+                points[order].append(MTPoint(order, px, py, gx, gy, rx, ry, dx, dy))
+    return [p for order in orders for p in points[order]]
 
 
 def _huffman_length(marginal) -> Fraction:
@@ -134,10 +128,8 @@ def build_region(
     d_y: DistortionMatrix,
     solve_cap: int = DEFAULT_SYMBOL_CAP,
 ) -> MTRegion:
-    """Base points of both transmission orders."""
-    points = enumerate_mt_points(pmf, d_x, d_y, "YX", solve_cap)
-    points += enumerate_mt_points(pmf, d_x, d_y, "XY", solve_cap)
-    return MTRegion(tuple(points))
+    """Base points of both transmission orders, all YX then all XY, from one pass."""
+    return MTRegion(tuple(_pair_points(pmf, d_x, d_y, ("YX", "XY"), solve_cap)))
 
 
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConditionOnZero, NegativeEntry, SumNotOne
+from .errors import ConditionOnZero, DomainError, NegativeEntry, SumNotOne
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -290,9 +290,9 @@ def fully_connected(m: int, p: Fraction) -> JointPMF:
     """
     p = Fraction(p)
     if m < 2:
-        raise ValueError(f"fully_connected needs m >= 2, got {m}")
+        raise DomainError(f"fully_connected needs m >= 2, got {m}")
     if not 0 <= p < 1:
-        raise ValueError(f"fully_connected needs 0 <= p < 1, got {p}")
+        raise DomainError(f"fully_connected needs 0 <= p < 1, got {p}")
     source = integer_alphabet("X", m)
     si = integer_alphabet("Y", m)
     diag = Fraction(1, m) * (1 - p)

@@ -3,9 +3,11 @@
 A scalar encoder is a partition of the source alphabet; its rate is the
 optimal RI length of the induced (cell, side information) joint, and its
 distortion is that of the Bayes decoder attached to each (cell, y) pair.
-The achievable tradeoff is the lower convex envelope of the finite point
-cloud; the causal variant swaps the rate functional for H(cell | Y) and the
-encoder-side-information variant partitions the product alphabet instead.
+``decoded_partitions`` is the one routine that merges and decodes a cloud:
+the causal variant takes H(cell | Y) of the same joints, the
+encoder-side-information variant partitions the product alphabet, and
+``multiterminal`` decodes both sides of every pair with it.  The achievable
+tradeoff is the lower convex envelope of the finite point cloud.
 """
 
 from __future__ import annotations
@@ -103,10 +105,6 @@ class RDCurve:
         raise AssertionError("unreachable: vertices not ordered")
 
 
-def query(curve: RDCurve, d) -> object:
-    return curve.query(d)
-
-
 def enumerate_partitions(alphabet) -> Iterator[Partition]:
     """All set partitions of the alphabet, restricted-growth lexicographic.
 
@@ -196,17 +194,16 @@ def optimal_decoder(
     return DecoderRule(table), Fraction(total, costs.scale)
 
 
-def quantizer_point(
-    pmf: JointPMF,
-    partition: Partition,
-    d: DistortionMatrix,
-    solve_cap: int = DEFAULT_SYMBOL_CAP,
-    costs: DecoderCosts | None = None,
-) -> QuantizerPoint:
-    induced = aggregate_rows(pmf, partition.cells)
-    protocol, rate = solve_ri(induced, max_symbols=solve_cap)
-    decoder, distortion = optimal_decoder(pmf, partition, d, costs)
-    return QuantizerPoint(partition, decoder, rate, distortion, protocol, induced, d)
+def decoded_partitions(
+    pmf: JointPMF, d: DistortionMatrix
+) -> Iterator[tuple[Partition, JointPMF, DecoderRule, Fraction]]:
+    """Each partition of the source with its induced (cell, y) joint, Bayes
+    decoder and distortion, in ``enumerate_partitions`` order; one integer
+    cost table serves the whole cloud."""
+    costs = decoder_costs(pmf, d)
+    for partition in enumerate_partitions(pmf.source):
+        decoder, distortion = optimal_decoder(pmf, partition, d, costs)
+        yield partition, aggregate_rows(pmf, partition.cells), decoder, distortion
 
 
 def rd_points(
@@ -218,11 +215,11 @@ def rd_points(
     dominated points and are skipped.  The single-cell partition is always
     present and anchors the envelope at rate exactly 0.
     """
-    costs = decoder_costs(pmf, d)
-    return [
-        quantizer_point(pmf, partition, d, solve_cap, costs)
-        for partition in enumerate_partitions(pmf.source)
-    ]
+    points = []
+    for partition, induced, decoder, distortion in decoded_partitions(pmf, d):
+        protocol, rate = solve_ri(induced, max_symbols=solve_cap)
+        points.append(QuantizerPoint(partition, decoder, rate, distortion, protocol, induced, d))
+    return points
 
 
 def _as_pairs(points) -> list[tuple]:
@@ -264,14 +261,10 @@ def causal_rd_curve(pmf: JointPMF, d: DistortionMatrix) -> RDCurve:
     Distortions stay exact; rates are floats because entropies are
     irrational, so downstream comparisons carry a 1e-9 tolerance.
     """
-    costs = decoder_costs(pmf, d)
-    points = []
-    for partition in enumerate_partitions(pmf.source):
-        induced = aggregate_rows(pmf, partition.cells)
-        rate = conditional_entropy_source_given_si(induced)
-        _, distortion = optimal_decoder(pmf, partition, d, costs)
-        points.append((distortion, rate))
-    return lower_convex_envelope(points)
+    return lower_convex_envelope([
+        (distortion, conditional_entropy_source_given_si(induced))
+        for _, induced, _, distortion in decoded_partitions(pmf, d)
+    ])
 
 
 def encoder_si_points(
@@ -305,11 +298,7 @@ def encoder_si_points(
         d.reproduction,
         tuple(tuple(d(x_of[i], r) for r in range(len(d.reproduction))) for i in range(support.nrows)),
     )
-    costs = decoder_costs(support, lifted)
-    return [
-        quantizer_point(support, partition, lifted, solve_cap, costs)
-        for partition in enumerate_partitions(support.source)
-    ]
+    return rd_points(support, lifted, solve_cap)
 
 
 def encoder_si_rd_curve(

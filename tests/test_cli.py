@@ -7,11 +7,14 @@ Core claims:
 """
 
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from zdsi.cli import dispatch, load_problem
+from zdsi import fixtures
+from zdsi.cli import build_parser, dispatch, load_problem
 from zdsi.errors import ParseError, ValidationError
 from zdsi.probability import marginal_source
 from zdsi.quantizers import export_curve_csv, lower_convex_envelope, rd_points
@@ -214,3 +217,43 @@ def test_monte_carlo_commands_reject_empty_blocks(argv, capsys):
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: n must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rd-curve", "--example", "fully-connected", "--M", "5", "--p", "abc"],
+    ["rd-curve", "--example", "fully-connected", "--M", "5", "--p", "1/0"],
+    ["simulate-stream", "--example", "pentagon", "--D", "xyz"],
+])
+def test_bad_rational_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        dispatch(argv)
+    assert info.value.code == 2
+    assert f"bad rational {argv[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve-ri", "--example", "split-cell", "--p", "3/4"], "needs 0 < p <= 1/2, got 3/4"),
+    (["rd-curve", "--example", "fully-connected", "--M", "1", "--p", "1/5"], "needs m >= 2, got 1"),
+])
+def test_out_of_domain_example_parameter_is_a_domain_error(argv, message, capsys):
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the `zdsi ...` lines in README's Command line block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("zdsi ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if getattr(args, "example", None) is not None:
+            assert args.example in fixtures.EXAMPLES

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_joint_pmf
+from zdsi import multiterminal, quantizers
 from zdsi.multiterminal import (
     build_region,
     enumerate_mt_points,
@@ -30,7 +31,7 @@ from zdsi.probability import (
     joint_pmf,
     marginal_source,
 )
-from zdsi.quantizers import lower_convex_envelope, rd_points
+from zdsi.quantizers import lower_convex_envelope, optimal_decoder, rd_points
 from zdsi.errors import DomainError
 from zdsi.ri_codes import huffman, solve_ri
 from zdsi.fixtures import mt_binary
@@ -186,3 +187,38 @@ def test_simultaneous_variant_never_beats_region_rates():
         assert s.order == "SIM"
         assert (s.dx, s.dy) == (p.dx, p.dy)
         assert s.rx >= p.rx and s.ry == p.ry
+
+
+def test_build_region_decodes_each_pair_once(monkeypatch):
+    pmf = rand_joint_pmf(random.Random(13), 3, 3)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return optimal_decoder(*args, **kwargs)
+
+    monkeypatch.setattr(quantizers, "optimal_decoder", counting)
+    assert not hasattr(multiterminal, "optimal_decoder")
+    region = build_region(pmf, hamming(pmf.source), hamming(pmf.si))
+    # Bell(3) = 5 partitions a side: one X and one Y decoder per pair
+    assert len(region.points) == 2 * 5 * 5
+    assert len(calls) == 2 * 5 * 5
+
+
+def _fields(p):
+    return (
+        p.order, p.partition_x, p.partition_y, p.coords,
+        list(p.decoder_x.table.items()), list(p.decoder_y.table.items()),
+    )
+
+
+def test_enumerate_mt_points_equals_region_halves():
+    rng = random.Random(17)
+    for nx, ny in ((3, 3), (3, 4), (2, 3)):
+        pmf = rand_joint_pmf(rng, nx, ny)
+        dx, dy = hamming(pmf.source), hamming(pmf.si)
+        points = build_region(pmf, dx, dy).points
+        half = len(points) // 2
+        for order, part in (("YX", points[:half]), ("XY", points[half:])):
+            alone = enumerate_mt_points(pmf, dx, dy, order)
+            assert [_fields(p) for p in alone] == [_fields(p) for p in part]
