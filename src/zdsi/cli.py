@@ -18,10 +18,10 @@ from .errors import ParseError, ValidationError, ZdsiError
 from .multiterminal import (
     MTRegion,
     build_region,
-    enumerate_mt_points,
     export_region_csv,
     export_witness_csv,
     is_achievable,
+    simultaneous_points,
 )
 from .probability import (
     Alphabet,
@@ -33,7 +33,6 @@ from .probability import (
     format_rational,
     hamming,
     marginal_source,
-    parse_rational,
     triple_pmf,
     validate,
 )
@@ -67,7 +66,7 @@ class ProblemSpec:
 
 def _rational(value, where: str) -> Fraction:
     try:
-        return parse_rational(str(value))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: bad rational {value!r} ({exc})") from None
 
@@ -244,14 +243,10 @@ def _cmd_mt_region(args) -> int:
     region = build_region(pmf, dx, dy)
     lines = [export_region_csv(region)]
     if args.simultaneous:
-        sim = MTRegion(tuple(enumerate_mt_points(pmf, dx, dy, "SIM")))
+        sim = MTRegion(tuple(simultaneous_points(region)))
         lines.append(export_region_csv(sim).split("\n", 1)[1])
     if args.query:
-        parts = args.query.split(",")
-        if len(parts) != 4:
-            raise ValidationError("--query needs Rx,Ry,Dx,Dy")
-        target = tuple(_rational(v, "--query") for v in parts)
-        result = is_achievable(region, target)
+        result = is_achievable(region, args.query)
         lines.append(f"achievable: {'yes' if result.achievable else 'no'}")
         if result.witness:
             lines.append(export_witness_csv(result.witness))
@@ -328,6 +323,14 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
 
 
+def _query_arg(text: str) -> tuple[Fraction, ...]:
+    """argparse type for --query: four rationals, a bad one is a usage error."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"needs 4 rationals Rx,Ry,Dx,Dy, got {text!r}")
+    return tuple(_rational_arg(v) for v in parts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zdsi",
@@ -363,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mt-region", help="multiterminal region CSV and queries")
     common(p)
-    p.add_argument("--query", help="Rx,Ry,Dx,Dy membership query (rationals)")
+    p.add_argument("--query", type=_query_arg, help="Rx,Ry,Dx,Dy membership query (rationals)")
     p.add_argument("--simultaneous", action="store_true",
                    help="also list the simpler simultaneous-decoding points")
     p.set_defaults(func=_cmd_mt_region)

@@ -3,10 +3,11 @@
 Each base point fixes a partition of X and a partition of Y plus the order of
 decoding.  Under order YX the Y-message is decoded first with no side
 information (plain Huffman rate L(V)) and then serves as SI for the X-message
-(RI rate L_V(U)); order XY is symmetric.  So each pair is two single-user
-quantizer points, X given Y's cell and Y given X's cell, both from
-``quantizers.decoded_partitions``; each side's joint and decoder are
-computed once per pair and shared by both orders.
+(RI rate L_V(U)); order XY is symmetric.  So each pair is two
+``quantizers.rd_points`` points, X given Y's cell and Y given X's cell; the
+RI rate, decoder and distortion of each side serve both orders.  The "SIM"
+points, both messages Huffman-coded, are read off the region: each takes
+the YX point's Y rate and the XY point's X rate.
 
 The region is the dominance-and-convexity closure of both clouds; membership
 is an exact rational linear feasibility problem whose basic solutions
@@ -18,7 +19,7 @@ the values of a Fraction tableau, so Bland's rule makes the same pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -32,8 +33,8 @@ from .probability import (
     marginal_si,
     transpose,
 )
-from .quantizers import DecoderRule, Partition, decoded_partitions, enumerate_partitions
-from .ri_codes import DEFAULT_SYMBOL_CAP, huffman, solve_ri
+from .quantizers import DecoderRule, Partition, enumerate_partitions, rd_points
+from .ri_codes import huffman
 
 ORDERS = ("YX", "XY", "SIM")
 
@@ -72,11 +73,7 @@ class AchievabilityResult:
 
 
 def enumerate_mt_points(
-    pmf: JointPMF,
-    d_x: DistortionMatrix,
-    d_y: DistortionMatrix,
-    order: str,
-    solve_cap: int = DEFAULT_SYMBOL_CAP,
+    pmf: JointPMF, d_x: DistortionMatrix, d_y: DistortionMatrix, order: str
 ) -> list[MTPoint]:
     """One point per (partition of X, partition of Y) pair for one order.
 
@@ -86,50 +83,57 @@ def enumerate_mt_points(
     """
     if order not in ORDERS:
         raise DomainError(f"order must be one of {ORDERS}, got {order!r}")
-    return _pair_points(pmf, d_x, d_y, (order,), solve_cap)
+    region = build_region(pmf, d_x, d_y)
+    if order == "SIM":
+        return simultaneous_points(region)
+    return [p for p in region.points if p.order == order]
 
 
-def _pair_points(pmf, d_x, d_y, orders, solve_cap) -> list[MTPoint]:
-    """The points of each order in ``orders`` in turn, from one pass over the pairs."""
-    # the (x, v) joints with Y merged, the (y, u) joints with X merged and
-    # the Huffman lengths L(V) and L(U) of their merged marginals; pair (i, j)
-    # takes its X side from the cloud of cols[j], its Y side from that of rows[i]
+def build_region(pmf: JointPMF, d_x: DistortionMatrix, d_y: DistortionMatrix) -> MTRegion:
+    """Base points of both transmission orders, all YX then all XY.
+
+    Pair (i, j) takes its X side from item i of the cloud of cols[j], the
+    (x, v) joint with Y merged by partition j, and its Y side from item j of
+    the cloud of rows[i], the (y, u) joint with X merged by partition i.
+    """
     by_y = transpose(pmf)
-    cols = [transpose(aggregate_rows(by_y, py.cells, name="V")) for py in enumerate_partitions(pmf.si)]
+    cols = [transpose(aggregate_rows(by_y, py.cells)) for py in enumerate_partitions(pmf.si)]
     rows = [transpose(aggregate_rows(pmf, px.cells)) for px in enumerate_partitions(pmf.source)]
     len_v = [_huffman_length(marginal_si(joint)) for joint in cols]
     len_u = [_huffman_length(marginal_si(joint)) for joint in rows]
-    x_side = [list(decoded_partitions(joint, d_x)) for joint in cols]
-    points: dict[str, list[MTPoint]] = {order: [] for order in orders}
+    x_side = [rd_points(joint, d_x) for joint in cols]
+    yx, xy = [], []
     for i, row in enumerate(rows):
-        for j, (py, joint_vu, gy, dy) in enumerate(decoded_partitions(row, d_y)):
-            px, joint_uv, gx, dx = x_side[j][i]
+        for j, qy in enumerate(rd_points(row, d_y)):
+            qx = x_side[j][i]
             # the Y table is keyed (v, u); re-key it in the X table's u-major order
-            gy = DecoderRule({(u, v): gy.table[(v, u)] for u, v in gx.table})
-            for order in orders:
-                if order == "YX":
-                    rx, ry = solve_ri(joint_uv, max_symbols=solve_cap)[1], len_v[j]
-                elif order == "XY":
-                    rx, ry = len_u[i], solve_ri(joint_vu, max_symbols=solve_cap)[1]
-                else:
-                    rx, ry = len_u[i], len_v[j]
-                points[order].append(MTPoint(order, px, py, gx, gy, rx, ry, dx, dy))
-    return [p for order in orders for p in points[order]]
+            gy = DecoderRule({(u, v): qy.decoder.table[(v, u)] for u, v in qx.decoder.table})
+            pair = (qx.partition, qy.partition, qx.decoder, gy)
+            yx.append(MTPoint("YX", *pair, qx.rate, len_v[j], qx.distortion, qy.distortion))
+            xy.append(MTPoint("XY", *pair, len_u[i], qy.rate, qx.distortion, qy.distortion))
+    return MTRegion(tuple(yx + xy))
+
+
+def simultaneous_points(region: MTRegion) -> list[MTPoint]:
+    """The "SIM" point of each pair: both messages at their Huffman lengths.
+
+    Under YX the Y message already costs L(V) and under XY the X message
+    costs L(U), so each YX point takes the rate of X from the XY point of
+    the same partitions.
+    """
+    huffman_rx = {
+        (p.partition_x, p.partition_y): p.rx for p in region.points if p.order == "XY"
+    }
+    return [
+        replace(p, order="SIM", rx=huffman_rx[p.partition_x, p.partition_y])
+        for p in region.points
+        if p.order == "YX"
+    ]
 
 
 def _huffman_length(marginal) -> Fraction:
     """Huffman length of a marginal's positive part (0 for a single symbol)."""
     return huffman([w for w in marginal if w > 0])[1]
-
-
-def build_region(
-    pmf: JointPMF,
-    d_x: DistortionMatrix,
-    d_y: DistortionMatrix,
-    solve_cap: int = DEFAULT_SYMBOL_CAP,
-) -> MTRegion:
-    """Base points of both transmission orders, all YX then all XY, from one pass."""
-    return MTRegion(tuple(_pair_points(pmf, d_x, d_y, ("YX", "XY"), solve_cap)))
 
 
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
@@ -238,22 +242,21 @@ def is_achievable(region: MTRegion, target) -> AchievabilityResult:
 
 
 def pareto_surface(region: MTRegion) -> list[MTPoint]:
-    """Base points undominated under the coordinate-wise 4-D partial order."""
-    points = list(region.points)
-    out = []
-    for i, p in enumerate(points):
-        dominated = False
-        for j, q in enumerate(points):
-            if i == j:
-                continue
-            if all(qc <= pc for qc, pc in zip(q.coords, p.coords)) and (
-                q.coords != p.coords or j < i
-            ):
-                dominated = True
-                break
-        if not dominated:
-            out.append(p)
-    return out
+    """Base points undominated under the coordinate-wise 4-D partial order.
+
+    Of points with equal coordinates only the first is kept.  The points are
+    visited in (coordinates, index) order, on integer coordinates over one
+    denominator per axis, so every point that dominates another comes before
+    it and each point is tested only against the points kept so far.
+    """
+    points = region.points
+    scales = [lcm(*(p.coords[k].denominator for p in points)) for k in range(4)]
+    scaled = [tuple(c.numerator * (s // c.denominator) for c, s in zip(p.coords, scales)) for p in points]
+    kept: list[int] = []
+    for i in sorted(range(len(points)), key=lambda i: (scaled[i], i)):
+        if not any(all(a <= b for a, b in zip(scaled[k], scaled[i])) for k in kept):
+            kept.append(i)
+    return [points[i] for i in sorted(kept)]
 
 
 def export_region_csv(region: MTRegion) -> str:

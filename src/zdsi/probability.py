@@ -22,11 +22,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a plain integer) into an exact Fraction."""
-    return Fraction(text.strip())
-
-
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "num/den" ("num" when the denominator is 1)."""
     if value.denominator == 1:
@@ -136,7 +131,7 @@ def normalized_support(pmf: JointPMF) -> tuple[JointPMF, tuple[int, ...]]:
     return JointPMF(source, pmf.si, probs), keep
 
 
-def aggregate_rows(pmf: JointPMF, cells, name: str = "Z") -> JointPMF:
+def aggregate_rows(pmf: JointPMF, cells) -> JointPMF:
     """Joint of (cell index, y) induced by merging source rows.
 
     ``cells[i]`` is the cell index of source symbol i; cell indices must be
@@ -155,7 +150,7 @@ def aggregate_rows(pmf: JointPMF, cells, name: str = "Z") -> JointPMF:
         )
         for ms in members
     )
-    return JointPMF(Alphabet(name, labels), pmf.si, probs)
+    return JointPMF(Alphabet("Z", labels), pmf.si, probs)
 
 
 def transpose(pmf: JointPMF) -> JointPMF:

@@ -4,10 +4,12 @@ A scalar encoder is a partition of the source alphabet; its rate is the
 optimal RI length of the induced (cell, side information) joint, and its
 distortion is that of the Bayes decoder attached to each (cell, y) pair.
 ``decoded_partitions`` is the one routine that merges and decodes a cloud:
-the causal variant takes H(cell | Y) of the same joints, the
-encoder-side-information variant partitions the product alphabet, and
-``multiterminal`` decodes both sides of every pair with it.  The achievable
-tradeoff is the lower convex envelope of the finite point cloud.
+the causal variant takes H(cell | Y) of the same joints, and the
+encoder-side-information variant partitions the product alphabet.
+``rd_points`` adds the RI rate and is the one place a cloud calls
+``solve_ri``; ``multiterminal`` builds both sides of every pair with it.
+The achievable tradeoff is the lower convex envelope of the finite point
+cloud.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .probability import (
     format_rational,
     normalized_support,
 )
-from .ri_codes import DEFAULT_SYMBOL_CAP, RIProtocol, solve_ri
+from .ri_codes import RIProtocol, solve_ri
 
 PARTITION_CAP = 12  # Bell(12) ~ 4.2e6 partitions
 
@@ -70,7 +72,7 @@ class DecoderRule:
         return self.table[(cell, y)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantizerPoint:
     """One partition with its optimal decoder, exact rate and distortion."""
 
@@ -206,9 +208,7 @@ def decoded_partitions(
         yield partition, aggregate_rows(pmf, partition.cells), decoder, distortion
 
 
-def rd_points(
-    pmf: JointPMF, d: DistortionMatrix, solve_cap: int = DEFAULT_SYMBOL_CAP
-) -> list[QuantizerPoint]:
+def rd_points(pmf: JointPMF, d: DistortionMatrix) -> list[QuantizerPoint]:
     """One point per partition, each with its optimal decoder.
 
     Rate depends on the partition alone, so non-optimal decoders only produce
@@ -217,24 +217,17 @@ def rd_points(
     """
     points = []
     for partition, induced, decoder, distortion in decoded_partitions(pmf, d):
-        protocol, rate = solve_ri(induced, max_symbols=solve_cap)
+        protocol, rate = solve_ri(induced)
         points.append(QuantizerPoint(partition, decoder, rate, distortion, protocol, induced, d))
     return points
 
 
-def _as_pairs(points) -> list[tuple]:
-    pairs = []
-    for p in points:
-        if hasattr(p, "distortion"):
-            pairs.append((p.distortion, p.rate))
-        else:
-            pairs.append((p[0], p[1]))
-    return pairs
-
-
 def lower_convex_envelope(points) -> RDCurve:
     """Lower-left convex hull of an (R, D) cloud after Pareto filtering."""
-    pairs = _as_pairs(points)
+    pairs = [
+        (p.distortion, p.rate) if isinstance(p, QuantizerPoint) else (p[0], p[1])
+        for p in points
+    ]
     if not pairs:
         raise EmptyInput("no points to take an envelope of")
     pairs.sort(key=lambda t: (t[0], t[1]))
@@ -267,9 +260,7 @@ def causal_rd_curve(pmf: JointPMF, d: DistortionMatrix) -> RDCurve:
     ])
 
 
-def encoder_si_points(
-    triple: TriplePMF, d: DistortionMatrix, solve_cap: int = DEFAULT_SYMBOL_CAP
-) -> list[QuantizerPoint]:
+def encoder_si_points(triple: TriplePMF, d: DistortionMatrix) -> list[QuantizerPoint]:
     """Quantizer cloud for an encoder observing (X, S), axes (S, X, Y).
 
     The encoder partitions the product alphabet X x S restricted to its
@@ -298,13 +289,11 @@ def encoder_si_points(
         d.reproduction,
         tuple(tuple(d(x_of[i], r) for r in range(len(d.reproduction))) for i in range(support.nrows)),
     )
-    return rd_points(support, lifted, solve_cap)
+    return rd_points(support, lifted)
 
 
-def encoder_si_rd_curve(
-    triple: TriplePMF, d: DistortionMatrix, solve_cap: int = DEFAULT_SYMBOL_CAP
-) -> RDCurve:
-    return lower_convex_envelope(encoder_si_points(triple, d, solve_cap))
+def encoder_si_rd_curve(triple: TriplePMF, d: DistortionMatrix) -> RDCurve:
+    return lower_convex_envelope(encoder_si_points(triple, d))
 
 
 def export_curve_csv(curve: RDCurve, exact: bool = True) -> str:

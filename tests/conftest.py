@@ -209,6 +209,28 @@ def oracle_feasible_mixture(vectors, target) -> list[Fraction] | None:
     return weights
 
 
+def oracle_pareto_surface(points) -> list:
+    """Points no other point dominates coordinate-wise, by an all-pairs scan.
+
+    A point with the same coordinates as an earlier one counts as dominated,
+    so of equal points only the first is kept; output is in input order.
+    """
+    out = []
+    for i, p in enumerate(points):
+        dominated = False
+        for j, q in enumerate(points):
+            if i == j:
+                continue
+            if all(qc <= pc for qc, pc in zip(q.coords, p.coords)) and (
+                q.coords != p.coords or j < i
+            ):
+                dominated = True
+                break
+        if not dominated:
+            out.append(p)
+    return out
+
+
 def oracle_stream_report(pmf: JointPMF, plan, n: int, seed: int, trace: bool = False) -> SimReport:
     """`run_simulation` as a step loop over the per-step codec API.
 

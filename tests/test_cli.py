@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from zdsi import fixtures
+from zdsi import fixtures, quantizers
 from zdsi.cli import build_parser, dispatch, load_problem
 from zdsi.errors import ParseError, ValidationError
 from zdsi.probability import marginal_source
-from zdsi.quantizers import export_curve_csv, lower_convex_envelope, rd_points
+from zdsi.quantizers import export_curve_csv, lower_convex_envelope, optimal_decoder, rd_points
 from zdsi.ri_codes import export_protocol, solve_ri
 from zdsi.fixtures import pentagon
 
@@ -206,6 +206,44 @@ def test_mt_region_from_file_with_second_distortion(tmp_path, capsys):
 def test_mt_region_simultaneous_flag(capsys):
     assert dispatch(["mt-region", "--example", "mt-binary", "--simultaneous"]) == 0
     assert "SIM," in capsys.readouterr().out
+
+
+def test_mt_region_simultaneous_makes_one_pass(tmp_path, monkeypatch, capsys):
+    doc = {
+        "source_alphabet": ["a", "b", "c"],
+        "si_alphabet": ["u", "v", "w"],
+        "pmf": [["1/6", "1/12", "0"], ["1/12", "1/6", "1/12"], ["0", "1/12", "1/3"]],
+    }
+    path = write(tmp_path, doc)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return optimal_decoder(*args, **kwargs)
+
+    monkeypatch.setattr(quantizers, "optimal_decoder", counting)
+    counts = []
+    for extra in ([], ["--simultaneous"]):
+        calls.clear()
+        assert dispatch(["mt-region", "--file", path, *extra]) == 0
+        counts.append(len(calls))
+    # Bell(3) = 5 partitions a side: one X and one Y decoder per pair, and
+    # the SIM points come from the same region
+    assert counts == [50, 50]
+    assert capsys.readouterr().out.count("\nSIM,") == 25
+
+
+@pytest.mark.parametrize("query,message", [
+    ("1,2,x,3", "bad rational 'x'"),
+    ("1,2,3", "needs 4 rationals Rx,Ry,Dx,Dy, got '1,2,3'"),
+    ("1,1,1/0,1", "bad rational '1/0'"),
+])
+def test_bad_query_is_a_usage_error(query, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        dispatch(["mt-region", "--example", "mt-binary", "--query", query])
+    assert info.value.code == 2
+    err = [line for line in capsys.readouterr().err.splitlines() if "argument --query:" in line]
+    assert len(err) == 1 and err[0].endswith(message)
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,11 +12,12 @@ Core claims:
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_joint_pmf
+from conftest import oracle_pareto_surface, rand_joint_pmf
 from zdsi import multiterminal, quantizers
 from zdsi.multiterminal import (
     build_region,
@@ -24,6 +25,7 @@ from zdsi.multiterminal import (
     is_achievable,
     MTRegion,
     pareto_surface,
+    simultaneous_points,
 )
 from zdsi.probability import (
     hamming,
@@ -222,3 +224,36 @@ def test_enumerate_mt_points_equals_region_halves():
         for order, part in (("YX", points[:half]), ("XY", points[half:])):
             alone = enumerate_mt_points(pmf, dx, dy, order)
             assert [_fields(p) for p in alone] == [_fields(p) for p in part]
+
+
+def test_region_takes_its_rates_from_rd_points():
+    for name in ("solve_ri", "decoded_partitions", "_pair_points"):
+        assert not hasattr(multiterminal, name)
+
+
+def test_simultaneous_points_do_not_depend_on_point_order():
+    pmf = rand_joint_pmf(random.Random(19), 3, 3)
+    region = build_region(pmf, hamming(pmf.source), hamming(pmf.si))
+    shuffled = list(region.points)
+    random.Random(23).shuffle(shuffled)
+
+    def by_pair(points):
+        return sorted((_fields(p) for p in points), key=lambda f: (f[1].cells, f[2].cells))
+
+    sim = simultaneous_points(region)
+    assert len(sim) == 25 and all(p.order == "SIM" for p in sim)
+    assert by_pair(simultaneous_points(MTRegion(tuple(shuffled)))) == by_pair(sim)
+
+
+def test_pareto_surface_matches_all_pairs_oracle():
+    rng = random.Random(29)
+    for k in range(6):
+        pmf = rand_joint_pmf(rng, rng.randint(3, 4), rng.randint(3, 4))
+        points = build_region(pmf, hamming(pmf.source), hamming(pmf.si)).points
+        if k % 2:
+            # equal copies of some points, all in a shuffled order
+            points = list(points) + [replace(p) for p in rng.sample(points, 40)]
+            rng.shuffle(points)
+        want = oracle_pareto_surface(points)
+        got = pareto_surface(MTRegion(tuple(points)))
+        assert [id(p) for p in got] == [id(p) for p in want]

@@ -11,6 +11,8 @@ The region digest does the same for every multiterminal base point (order,
 both partitions, both decoder tables in insertion order, coordinates) and
 for the membership answers and full witnesses of seeded targets; it was
 recorded with the Fraction-tableau simplex and the per-pair decoders.
+The SIM digest covers every field of the simultaneous-decoding points; it was
+recorded when those points came from a second pass over the pairs.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from zdsi.fixtures import c6, fully_connected_example, mt_binary, pentagon, split_cell_channel
-from zdsi.multiterminal import build_region, is_achievable
+from zdsi.multiterminal import build_region, enumerate_mt_points, is_achievable
 from zdsi.probability import (
     Alphabet,
     JointPMF,
@@ -41,6 +43,7 @@ from zdsi.ri_codes import solve_ri
 
 CLOUD_DIGEST = "0b562bac2f41a65c0496d7932d09890c582efca72c0826a38555478b522d8ac4"
 REGION_DIGEST = "de794f31ef02ca01dc06b6b0785bc56e7138a3ea7e8d3cda393893a36828540f"
+SIM_DIGEST = "a07f78b4aff1745ec80ebcf05681b53656c48b9d766ded36b28324501c5fb2da"
 
 
 def _random_problem(rng: random.Random, nx: int):
@@ -221,6 +224,31 @@ def region_lines() -> list[str]:
 def test_region_digest_matches_original_solvers():
     text = "\n".join(region_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == REGION_DIGEST
+
+
+def sim_lines() -> list[str]:
+    problems = [("mt_binary", *mt_binary())]
+    rng = random.Random(20130303)
+    for k, shape in enumerate([(3, 3)] * 4 + [(3, 4)] * 2 + [(4, 3)] * 2):
+        problems.append((f"sim{k}", *_region_problem(rng, *shape)))
+    lines = []
+    for name, pmf, dx, dy in problems:
+        for p in enumerate_mt_points(pmf, dx, dy, "SIM"):
+            lines.append("|".join((
+                name,
+                p.order,
+                p.partition_x.to_string(),
+                p.partition_y.to_string(),
+                ";".join(f"{u}.{v}>{r}" for (u, v), r in p.decoder_x.table.items()),
+                ";".join(f"{u}.{v}>{r}" for (u, v), r in p.decoder_y.table.items()),
+                ",".join(format_rational(c) for c in p.coords),
+            )))
+    return lines
+
+
+def test_sim_digest_matches_second_pass_points():
+    text = "\n".join(sim_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == SIM_DIGEST
 
 
 def test_typewriter7_envelope_vertices():
