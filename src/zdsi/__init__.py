@@ -78,6 +78,7 @@ from .ri_codes import (
     check_feasible,
     conditional_huffman,
     huffman,
+    huffman_codes,
     solve_ri,
     solve_ri_conditional,
 )

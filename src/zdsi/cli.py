@@ -29,7 +29,6 @@ from .probability import (
     JointPMF,
     TriplePMF,
     distortion_matrix,
-    entropy_bits,
     format_rational,
     hamming,
     marginal_source,
@@ -46,10 +45,8 @@ from .quantizers import (
 from .ri_codes import export_protocol, solve_ri
 from .sequential import (
     SCHEME_CSV_HEADER,
-    rd_function,
     simulate_prefix_uniqueness,
     simulate_scheme,
-    threshold_alpha,
 )
 from .streaming import build_plan, export_trace_csv, run_simulation
 
@@ -278,20 +275,13 @@ def _cmd_simulate_seq(args) -> int:
     pmf, d = _load_single_user(args)
     p_x = marginal_source(pmf)
     target = args.D if args.D is not None else Fraction(1, 8)
-    rdf = rd_function(p_x, d)
-    rate_d, prior = rdf.rate_and_prior(float(target))
-    if args.alpha is not None:
-        alpha = args.alpha
-    else:
-        h = entropy_bits([q for q in prior if q > 0])
-        alpha = min(1.0, threshold_alpha(rate_d + args.epsilon, h) + 0.1) if h > 0 else 1.0
     report = simulate_scheme(
         p_x,
         d,
         target,
         n=args.n,
         epsilon=args.epsilon,
-        alpha=alpha,
+        alpha=args.alpha,
         mode=args.mode,
         trials=args.trials,
         seed=args.seed,
@@ -309,7 +299,7 @@ def _cmd_examples(args) -> int:
 
 def _cmd_pc_bound(args) -> int:
     est = simulate_prefix_uniqueness(
-        [0.5, 0.5], args.n, args.R, args.alpha or 0.5, args.trials, args.seed
+        [0.5, 0.5], args.n, args.R, args.alpha, args.trials, args.seed
     )
     _emit(args, f"estimate={est.estimate!r} half_width={est.half_width!r}")
     return 0

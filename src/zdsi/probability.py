@@ -303,9 +303,82 @@ def _stream_key(seed, *stream) -> np.ndarray:
     return np.random.SeedSequence(entropy=entropy).generate_state(2, np.uint64)
 
 
+# numpy's SeedSequence hash constants (bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n >= 0, as SeedSequence splits entropy."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_keys(seed, start: int, count: int) -> np.ndarray:
+    """`_stream_key(seed, k)` for k = start, ..., start + count - 1 (k < 2^64).
+
+    Row i is `SeedSequence(entropy=(seed, start + i)).generate_state(2,
+    np.uint64)`: the same 32-bit hash-and-mix steps, run as uint32 array
+    arithmetic over all k at once (the hash constants do not depend on the
+    data).  An index k >= 2^32 adds a second entropy word, so a range across
+    2^32 is computed in two parts.
+    """
+    stop = start + count
+    if start < 1 << 32 < stop:
+        return np.concatenate(
+            [_stream_keys(seed, start, (1 << 32) - start), _stream_keys(seed, 1 << 32, stop - (1 << 32))]
+        )
+    k = np.arange(start, stop, dtype=np.uint64)
+    entropy = [np.full(count, w, dtype=np.uint32) for w in _uint32_words(int(seed))]
+    entropy.append((k & np.uint64(_MASK32)).astype(np.uint32))
+    if start >= 1 << 32:
+        entropy.append((k >> np.uint64(32)).astype(np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for value in pool:  # generate_state: 4 words, read as 2 little-endian uint64
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)], axis=1)
+
+
 def _generator(seed, *stream) -> np.random.Generator:
     """Counter-based Philox generator; streams keyed by (seed, *stream)."""
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, *stream)))
+
+
+_KEY_BLOCK = 256
 
 
 def _trial_generators(seed):
@@ -314,15 +387,18 @@ def _trial_generators(seed):
     One Philox is re-keyed in place for each trial, so every item is the same
     Generator object: finish trial k's draws before advancing.  That halves
     the per-trial cost, because a fresh Philox also seeds itself from OS
-    entropy that the explicit key then overrides.
+    entropy that the explicit key then overrides.  The keys come from
+    `_stream_keys` in blocks of `_KEY_BLOCK` trials, bit for bit the keys
+    `_generator` hashes one at a time, so every draw is unchanged.
     """
     bitgen = np.random.Philox(key=_stream_key(seed, 0))
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # counter, buffer and key of a fresh generator
-    for k in itertools.count():
-        state["state"]["key"] = _stream_key(seed, k)
-        bitgen.state = state
-        yield rng
+    for start in itertools.count(0, _KEY_BLOCK):
+        for key in _stream_keys(seed, start, _KEY_BLOCK):
+            state["state"]["key"] = key
+            bitgen.state = state
+            yield rng
 
 
 class InverseCDF:
@@ -363,7 +439,7 @@ def sample_iid(pmf: JointPMF, n: int, seed: int) -> np.ndarray:
     seeds reproduce identical sequences across platforms.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DomainError("n must be >= 0")
     sampler = InverseCDF([float(v) for row in pmf.probs for v in row])
     idx = sampler(_generator(seed).random(n))
     return np.stack([idx // pmf.ncols, idx % pmf.ncols], axis=1)

@@ -76,7 +76,7 @@ def avg_length(assignment, p_x) -> Fraction:
     )
 
 
-def _huffman_codes(weights) -> list[str]:
+def huffman_codes(weights) -> list[str]:
     """Huffman codewords for positive weights (Fraction or float).
 
     Ties merge the nodes whose subtree holds the lowest original symbol
@@ -112,7 +112,7 @@ def huffman(p) -> tuple[tuple[str, ...], Fraction]:
         raise DomainError("huffman requires strictly positive probabilities")
     if sum(p, ZERO) != 1:
         raise DomainError("huffman requires probabilities summing to 1")
-    codes = tuple(_huffman_codes(p))
+    codes = tuple(huffman_codes(p))
     return codes, avg_length(codes, p)
 
 
@@ -164,7 +164,7 @@ def solve_ri(
     # incumbent: Huffman on the support, isolated vertices overridden to the
     # empty codeword (feasible: edges only involve non-isolated vertices)
     words = [""] * support.nrows
-    huff = _huffman_codes(w)
+    huff = huffman_codes(w)
     best_words = list(words)
     for v in order:
         best_words[v] = huff[v]

@@ -20,10 +20,12 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, TooLarge
 from .probability import DistortionMatrix, InverseCDF, _trial_generators, entropy_bits
-from .ri_codes import _huffman_codes
+from .ri_codes import huffman_codes
 
 CODEBOOK_CAP = 1 << 20
 BLOCK_CAP = 1 << 14
+PREFIX_BLOCK_UNIFORMS = 1 << 16  # uniforms per block of prefix-uniqueness trials
+SCAN_UNIFORMS = 1 << 14  # uniforms per chunk of the typical-word scan
 DEFAULT_TYPICALITY_SLACK = 0.02
 
 
@@ -90,6 +92,12 @@ def simulate_prefix_uniqueness(
     The reference word is drawn separately from the codebook, so it never
     competes with itself.  Trial k uses the RNG stream keyed by (seed, k);
     results are identical under any execution order.
+
+    Trials run in blocks of at most `PREFIX_BLOCK_UNIFORMS` uniforms.  Trial
+    k's reference and book are consecutive draws from its stream, so one
+    `random(out=...)` fills its slice of the block with exactly the uniforms
+    of `random(prefix_len)` followed by `random((count, prefix_len))`; the
+    inverse CDF and the prefix comparison then run once per block.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -101,12 +109,17 @@ def simulate_prefix_uniqueness(
     _guard_codebook(count, n)
     prefix_len = max(1, math.ceil(n * alpha))
     draw = _sampler(prior)
+    block = min(trials, max(1, PREFIX_BLOCK_UNIFORMS // ((count + 1) * prefix_len)))
+    uniforms = np.empty((block, count + 1, prefix_len))  # per trial: reference, then book
+    streams = _trial_generators(seed)
     clean = 0
-    for _, rng in zip(range(trials), _trial_generators(seed)):
-        reference = draw(rng.random(prefix_len))
-        book = draw(rng.random((count, prefix_len)))
-        if not (book == reference).all(axis=1).any():
-            clean += 1
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        for t in range(size):
+            next(streams).random(out=uniforms[t])
+        words = draw(uniforms[:size])
+        shared = (words[:, 1:] == words[:, :1]).all(axis=2).any(axis=1)
+        clean += size - int(np.count_nonzero(shared))
     estimate = clean / trials
     half_width = math.sqrt(estimate * (1.0 - estimate) / trials)
     return PrefixUniquenessEstimate(estimate, half_width, trials)
@@ -302,7 +315,7 @@ def simulate_scheme(
     target_d,
     n: int,
     epsilon: float,
-    alpha: float,
+    alpha: float | None = None,
     mode: str = "fixed",
     trials: int = 500,
     seed: int = 0,
@@ -316,6 +329,14 @@ def simulate_scheme(
     its first ceil(n alpha) reproduction symbols -- at ceil(log2 |Xhat|) bits
     each in fixed mode, or Huffman-coded against the prior in variable mode.
     Trials with no distortion-typical codeword are tallied separately.
+    alpha=None streams 0.1 past the threshold (R(D) + epsilon) / H(prior),
+    capped at 1, and everything when the prior is a point mass (H = 0).
+
+    Every trial draws all of its uniforms, so the streams are those of a
+    whole-book evaluation, but the scan works out word distortions only in
+    chunks of about `SCAN_UNIFORMS` symbols and stops at the first chunk
+    that holds a typical word.  A word's distortion is the mean of its own
+    row, so it is the same float in a chunk as in the whole book.
     """
     if mode not in ("fixed", "variable"):
         raise DomainError(f"mode must be 'fixed' or 'variable', got {mode!r}")
@@ -323,12 +344,18 @@ def simulate_scheme(
         raise DomainError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if not 0 < alpha <= 1:
+    if alpha is not None and not 0 < alpha <= 1:
         raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
     target_d = float(target_d)
     rdf = rd_function(p_x, d)
     rate_d, prior = rdf.rate_and_prior(target_d)
     codebook_rate = rate_d + epsilon
+    prior_entropy = entropy_bits([p for p in prior if p > 0])
+    if alpha is None:
+        alpha = (
+            min(1.0, threshold_alpha(codebook_rate, prior_entropy) + 0.1)
+            if prior_entropy > 0 else 1.0
+        )
     count = math.ceil(2.0 ** (n * codebook_rate))
     _guard_codebook(count, n)
     prefix_len = min(n, max(1, math.ceil(n * alpha)))
@@ -340,7 +367,7 @@ def simulate_scheme(
     else:
         lengths = np.zeros(nrep, dtype=int)
         if len(support) > 1:
-            codes = _huffman_codes([prior[j] for j in support])
+            codes = huffman_codes([prior[j] for j in support])
             for j, w in zip(support, codes):
                 lengths[j] = len(w)
         bits_per_rep = lengths
@@ -351,28 +378,35 @@ def simulate_scheme(
     threshold = target_d + delta
 
     results = []
-    row_index = np.arange(n)
+    offsets = np.arange(n) * nrep  # letter t's row in the flattened (n, reps) table
+    chunk = max(1, SCAN_UNIFORMS // n)
+    source_uniforms = np.empty(n)
+    book_uniforms = np.empty((count, n))
+    # a word's prefix as one opaque item: equal items are equal prefixes
+    prefix_item = np.dtype((np.void, prefix_len * np.dtype(np.intp).itemsize))
     for _, rng in zip(range(trials), _trial_generators(seed)):
-        source = draw_source(rng.random(n))
-        book = draw_prior(rng.random((count, n)))
-        per_letter = dmat[source]  # (n, reps)
-        word_dist = per_letter[row_index, book].mean(axis=1)
-        hits = np.nonzero(word_dist <= threshold)[0]
+        source = draw_source(rng.random(out=source_uniforms))
+        book = draw_prior(rng.random(out=book_uniforms))
+        per_letter = dmat[source].ravel()  # d(source[t], rep) at t * nrep + rep
+        for lo in range(0, count, chunk):
+            word_dist = per_letter.take(book[lo:lo + chunk] + offsets).mean(axis=1)
+            hits = np.flatnonzero(word_dist <= threshold)
+            if hits.size:
+                break
         if hits.size == 0:
             results.append(SchemeResult(False, False, 0, math.nan))
             continue
-        idx = int(hits[0])
-        word = book[idx]
-        prefix = word[:prefix_len]
-        matches = int((book[:, :prefix_len] == prefix).all(axis=1).sum())
-        bits = int(bits_per_rep[word[:prefix_len]].sum())
+        idx = lo + int(hits[0])
+        prefixes = book[:, :prefix_len].view(prefix_item)
+        matches = int(np.count_nonzero(prefixes == prefixes[idx]))
+        bits = int(bits_per_rep[book[idx, :prefix_len]].sum())
         results.append(
-            SchemeResult(True, matches == 1, bits, float(word_dist[idx]))
+            SchemeResult(True, matches == 1, bits, float(word_dist[hits[0]]))
         )
     return SchemeReport(
         results=tuple(results),
         n=n,
         alpha=alpha,
         codebook_rate=codebook_rate,
-        prior_entropy=entropy_bits([p for p in prior if p > 0]),
+        prior_entropy=prior_entropy,
     )

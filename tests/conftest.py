@@ -7,12 +7,31 @@ equality tests mean something.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from zdsi.errors import SyncLoss
-from zdsi.probability import Alphabet, JointPMF, TriplePMF, integer_alphabet, sample_iid
+from zdsi.probability import (
+    Alphabet,
+    JointPMF,
+    TriplePMF,
+    _generator,
+    entropy_bits,
+    integer_alphabet,
+    sample_iid,
+)
+from zdsi.ri_codes import huffman_codes
+from zdsi.sequential import (
+    PrefixUniquenessEstimate,
+    SchemeReport,
+    SchemeResult,
+    _sampler,
+    rd_function,
+)
 from zdsi.streaming import SimReport, StreamDecoder, StreamEncoder
 
 
@@ -259,3 +278,70 @@ def oracle_stream_report(pmf: JointPMF, plan, n: int, seed: int, trace: bool = F
             (t, pmf.source.symbols[x], pmf.si.symbols[y], word, dmat.reproduction.symbols[xhat])
         )
     return SimReport(n, total_bits, total_bits / n, dist_sum / n, 0, tuple(rows) if trace else None)
+
+
+def oracle_prefix_uniqueness(prior, n: int, r: float, alpha: float, trials: int, seed: int):
+    """`simulate_prefix_uniqueness` as one loop step per trial.
+
+    Trial k draws its reference prefix, then its book, from a fresh
+    generator keyed by (seed, k) (`SeedSequence` hashing, one key at a time).
+    """
+    count = math.ceil(2.0 ** (n * r))
+    prefix_len = max(1, math.ceil(n * alpha))
+    draw = _sampler(prior)
+    clean = 0
+    for k in range(trials):
+        rng = _generator(seed, k)
+        reference = draw(rng.random(prefix_len))
+        book = draw(rng.random((count, prefix_len)))
+        if not (book == reference).all(axis=1).any():
+            clean += 1
+    estimate = clean / trials
+    return PrefixUniquenessEstimate(estimate, math.sqrt(estimate * (1.0 - estimate) / trials), trials)
+
+
+def oracle_scheme(p_x, d, target_d, n, epsilon, alpha, mode, trials, seed, delta):
+    """`simulate_scheme` with an explicit alpha, one whole book per trial.
+
+    Trial k draws from a fresh generator keyed by (seed, k).  Every word's
+    distortion is the mean of its gathered row, the first typical word is
+    the first index at or below the threshold, and a word shares the prefix
+    when all of its first ceil(n alpha) symbols are equal.  Returns the
+    report and each trial's first typical index (None when there is none).
+    """
+    target_d = float(target_d)
+    rate_d, prior = rd_function(p_x, d).rate_and_prior(target_d)
+    codebook_rate = rate_d + epsilon
+    count = math.ceil(2.0 ** (n * codebook_rate))
+    prefix_len = min(n, max(1, math.ceil(n * alpha)))
+    nrep = len(d.reproduction)
+    support = [j for j in range(nrep) if prior[j] > 0.0]
+    bits_per_rep = np.zeros(nrep, dtype=int)
+    if mode == "fixed":
+        bits_per_rep[:] = math.ceil(math.log2(nrep)) if nrep > 1 else 0
+    elif len(support) > 1:
+        for j, w in zip(support, huffman_codes([prior[j] for j in support])):
+            bits_per_rep[j] = len(w)
+    draw_source, draw_prior = _sampler(p_x), _sampler(prior)
+    dmat = np.array([[float(v) for v in row] for row in d.values], dtype=float)
+    results, first_hits = [], []
+    for k in range(trials):
+        rng = _generator(seed, k)
+        source = draw_source(rng.random(n))
+        book = draw_prior(rng.random((count, n)))
+        word_dist = dmat[source][np.arange(n), book].mean(axis=1)
+        hits = np.nonzero(word_dist <= target_d + delta)[0]
+        if hits.size == 0:
+            results.append(SchemeResult(False, False, 0, math.nan))
+            first_hits.append(None)
+            continue
+        idx = int(hits[0])
+        word = book[idx]
+        matches = int((book[:, :prefix_len] == word[:prefix_len]).all(axis=1).sum())
+        bits = int(bits_per_rep[word[:prefix_len]].sum())
+        results.append(SchemeResult(True, matches == 1, bits, float(word_dist[idx])))
+        first_hits.append(idx)
+    report = SchemeReport(
+        tuple(results), n, alpha, codebook_rate, entropy_bits([p for p in prior if p > 0])
+    )
+    return report, first_hits

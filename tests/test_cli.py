@@ -295,3 +295,9 @@ def test_readme_command_lines_parse():
         args = parser.parse_args(argv)
         if getattr(args, "example", None) is not None:
             assert args.example in fixtures.EXAMPLES
+
+
+@pytest.mark.parametrize("alpha", ["0", "-0.0", "1.5"])
+def test_pc_estimate_rejects_alpha_outside_unit_interval(alpha, capsys):
+    assert dispatch(["pc-estimate", "--alpha", alpha, "--trials", "5"]) == 1
+    assert capsys.readouterr().err == f"error: need 0 < alpha <= 1, got {float(alpha)}\n"
