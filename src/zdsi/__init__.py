@@ -12,6 +12,7 @@ from .errors import (
     DomainError,
     EmptyInput,
     InfeasibleProtocol,
+    InvalidArgument,
     NegativeEntry,
     NoConvergence,
     ParseError,
@@ -63,6 +64,7 @@ from .quantizers import (
     Partition,
     QuantizerPoint,
     RDCurve,
+    RIInstance,
     causal_rd_curve,
     decoded_partitions,
     encoder_si_points,
@@ -81,6 +83,7 @@ from .ri_codes import (
     huffman_codes,
     solve_ri,
     solve_ri_conditional,
+    solve_ri_weights,
 )
 from .sequential import (
     PrefixUniquenessEstimate,

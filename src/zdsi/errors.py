@@ -17,6 +17,12 @@ class ConditionOnZero(ZdsiError):
     """Conditioning on a symbol of zero probability."""
 
 
+class InvalidArgument(ZdsiError, ValueError):
+    """An argument is malformed: an empty or repeated alphabet, a shape that
+    does not match its alphabets, a non-canonical partition or coloring, or
+    a request the object cannot answer.  Also a ValueError."""
+
+
 class TooLarge(ZdsiError):
     """Instance exceeds an exactness or memory cap; the cap is named."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InfeasibleProtocol, TooLarge
+from .errors import InfeasibleProtocol, InvalidArgument, TooLarge
 from .probability import Alphabet, JointPMF, aggregate_rows
 
 CHROMATIC_CAP = 20
@@ -57,7 +57,7 @@ class Coloring:
 
     def __post_init__(self) -> None:
         if set(self.colors) != set(range(self.count)):
-            raise ValueError("colors must be exactly 0..count-1, all used")
+            raise InvalidArgument("colors must be exactly 0..count-1, all used")
 
 
 def _graph(vertices: Alphabet, pairs) -> CharacteristicGraph:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConditionOnZero, DomainError, NegativeEntry, SumNotOne
+from .errors import ConditionOnZero, DomainError, InvalidArgument, NegativeEntry, SumNotOne
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -38,9 +38,9 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         if not self.symbols:
-            raise ValueError(f"alphabet {self.name!r} is empty")
+            raise InvalidArgument(f"alphabet {self.name!r} is empty")
         if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError(f"alphabet {self.name!r} has duplicate symbols")
+            raise InvalidArgument(f"alphabet {self.name!r} has duplicate symbols")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -75,7 +75,7 @@ def joint_pmf(source: Alphabet, si: Alphabet, rows) -> JointPMF:
     """Build a JointPMF from any nested iterable of Fraction-convertibles."""
     probs = tuple(tuple(Fraction(v) for v in row) for row in rows)
     if len(probs) != len(source) or any(len(r) != len(si) for r in probs):
-        raise ValueError("pmf shape does not match alphabets")
+        raise InvalidArgument("pmf shape does not match alphabets")
     return JointPMF(source, si, probs)
 
 
@@ -131,6 +131,19 @@ def normalized_support(pmf: JointPMF) -> tuple[JointPMF, tuple[int, ...]]:
     return JointPMF(source, pmf.si, probs), keep
 
 
+def cell_labels(source: Alphabet, members) -> tuple[str, ...]:
+    """Labels of merged cells: each joins its members' labels with '+'.
+
+    ``members[z]`` lists the source indices of cell z.  When a source label
+    containing '+' makes two cell labels equal, every label is prefixed with
+    its cell index ("z:").
+    """
+    labels = tuple("+".join(source.symbols[i] for i in ms) for ms in members)
+    if len(set(labels)) != len(labels):
+        labels = tuple(f"{z}:{label}" for z, label in enumerate(labels))
+    return labels
+
+
 def aggregate_rows(pmf: JointPMF, cells) -> JointPMF:
     """Joint of (cell index, y) induced by merging source rows.
 
@@ -141,9 +154,7 @@ def aggregate_rows(pmf: JointPMF, cells) -> JointPMF:
     members: list[list[int]] = [[] for _ in range(k)]
     for i, c in enumerate(cells):
         members[c].append(i)
-    labels = tuple("+".join(pmf.source.symbols[i] for i in ms) for ms in members)
-    if len(set(labels)) != k:  # a source label containing '+' collided
-        labels = tuple(f"{z}:{label}" for z, label in enumerate(labels))
+    labels = cell_labels(pmf.source, members)
     probs = tuple(
         tuple(
             sum((pmf.probs[i][j] for i in ms), ZERO) for j in range(pmf.ncols)
@@ -206,7 +217,7 @@ def triple_pmf(alphabets, cube) -> TriplePMF:
     if len(probs) != len(a) or any(
         len(p) != len(b) or any(len(r) != len(c) for r in p) for p in probs
     ):
-        raise ValueError("triple pmf shape does not match alphabets")
+        raise InvalidArgument("triple pmf shape does not match alphabets")
     total = sum((v for p in probs for r in p for v in r), ZERO)
     if total != 1:
         raise SumNotOne(f"entries sum to {format_rational(total)}, expected 1")
@@ -242,7 +253,7 @@ class DistortionMatrix:
 def distortion_matrix(source: Alphabet, reproduction: Alphabet, rows) -> DistortionMatrix:
     values = tuple(tuple(Fraction(v) for v in row) for row in rows)
     if len(values) != len(source) or any(len(r) != len(reproduction) for r in values):
-        raise ValueError("distortion shape does not match alphabets")
+        raise InvalidArgument("distortion shape does not match alphabets")
     return DistortionMatrix(source, reproduction, values)
 
 
@@ -264,7 +275,7 @@ def typewriter(m: int) -> JointPMF:
     split is a fixed, documented convention.
     """
     if m < 3:
-        raise ValueError(f"typewriter needs m >= 3, got {m}")
+        raise InvalidArgument(f"typewriter needs m >= 3, got {m}")
     source = integer_alphabet("X", m)
     si = integer_alphabet("Y", m)
     w = Fraction(1, 2 * m)

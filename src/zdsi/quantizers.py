@@ -3,34 +3,39 @@
 A scalar encoder is a partition of the source alphabet; its rate is the
 optimal RI length of the induced (cell, side information) joint, and its
 distortion is that of the Bayes decoder attached to each (cell, y) pair.
-``decoded_partitions`` is the one routine that merges and decodes a cloud:
-the causal variant takes H(cell | Y) of the same joints, and the
-encoder-side-information variant partitions the product alphabet.
-``rd_points`` adds the RI rate and is the one place a cloud calls
-``solve_ri``; ``multiterminal`` builds both sides of every pair with it.
-The achievable tradeoff is the lower convex envelope of the finite point
-cloud.
+``decoded_partitions`` is the one routine that merges and decodes a cloud.
+It merges cells in integers and hands each partition's RI instance on as
+integer weights and neighbor bitmasks; the causal variant takes H(cell | Y)
+of the same joints, and the encoder-side-information variant partitions the
+product alphabet.  ``rd_points`` adds the RI rate: it calls the kernel
+``solve_ri_weights`` once per distinct instance of the cloud, so partitions
+that induce the same weighted graph share one search.  ``multiterminal``
+builds both sides of every pair with it.  The achievable tradeoff is the
+lower convex envelope of the finite point cloud.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterator
+from functools import cache, partial, reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Iterator, NamedTuple
 
-from .errors import BelowMinimumDistortion, EmptyInput, TooLarge
+from .errors import BelowMinimumDistortion, EmptyInput, InvalidArgument, TooLarge
 from .probability import (
     Alphabet,
     DistortionMatrix,
     JointPMF,
     TriplePMF,
-    aggregate_rows,
+    cell_labels,
     conditional_entropy_source_given_si,
     format_rational,
+    marginal_source,
     normalized_support,
 )
-from .ri_codes import RIProtocol, solve_ri
+from .ri_codes import DEFAULT_SYMBOL_CAP, RIProtocol, solve_ri_weights
 
 PARTITION_CAP = 12  # Bell(12) ~ 4.2e6 partitions
 
@@ -45,7 +50,7 @@ class Partition:
         seen = -1
         for c in self.cells:
             if c < 0 or c > seen + 1:
-                raise ValueError(f"not a restricted-growth string: {self.cells}")
+                raise InvalidArgument(f"not a restricted-growth string: {self.cells}")
             seen = max(seen, c)
 
     @property
@@ -196,16 +201,57 @@ def optimal_decoder(
     return DecoderRule(table), Fraction(total, costs.scale)
 
 
+class RIInstance(NamedTuple):
+    """The RI problem of one induced (cell, y) joint, in integers.
+
+    ``weights`` are the primitive integer masses of the positive-mass cells
+    ``kept`` (cell indices, ascending) and ``adjacency`` their neighbor
+    bitmasks in the characteristic graph; one unit of weight has
+    probability ``unit / scale``.  (weights, adjacency) alone fixes the
+    solver's words.
+    """
+
+    weights: tuple[int, ...]
+    adjacency: tuple[int, ...]
+    kept: tuple[int, ...]
+    unit: int
+    scale: int
+
+
 def decoded_partitions(
     pmf: JointPMF, d: DistortionMatrix
-) -> Iterator[tuple[Partition, JointPMF, DecoderRule, Fraction]]:
+) -> Iterator[tuple[Partition, JointPMF, DecoderRule, Fraction, RIInstance]]:
     """Each partition of the source with its induced (cell, y) joint, Bayes
-    decoder and distortion, in ``enumerate_partitions`` order; one integer
-    cost table serves the whole cloud."""
+    decoder, distortion and RI instance, in ``enumerate_partitions`` order.
+
+    The pmf is scaled once to integers over the lcm of its denominators; a
+    cell's row is the int sum of its members' rows and, the entries being
+    nonnegative, its SI support the union of theirs.  The induced joint
+    holds one ``Fraction(n, scale)`` per entry, and one integer cost table
+    serves every decoder.
+    """
     costs = decoder_costs(pmf, d)
+    scale = lcm(*(v.denominator for row in pmf.probs for v in row))
+    rows = [tuple(v.numerator * (scale // v.denominator) for v in row) for row in pmf.probs]
+    mass = [sum(row) for row in rows]
+    si_mask = [sum(1 << y for y, v in enumerate(row) if v > 0) for row in rows]
+    ratio = cache(partial(Fraction, denominator=scale))  # each Fraction(n, scale) built once
     for partition in enumerate_partitions(pmf.source):
         decoder, distortion = optimal_decoder(pmf, partition, d, costs)
-        yield partition, aggregate_rows(pmf, partition.cells), decoder, distortion
+        blocks = partition.blocks()
+        cell_rows = (rows[ms[0]] if len(ms) == 1 else map(sum, zip(*(rows[i] for i in ms))) for ms in blocks)
+        probs = tuple(tuple(map(ratio, row)) for row in cell_rows)
+        induced = JointPMF(Alphabet("Z", cell_labels(pmf.source, blocks)), pmf.si, probs)
+        cell_mass = [sum(mass[i] for i in ms) for ms in blocks]
+        kept = tuple(z for z, m in enumerate(cell_mass) if m > 0)
+        unit = gcd(*(cell_mass[z] for z in kept)) or 1  # 1 when no cell has mass
+        masks = [reduce(or_, (si_mask[i] for i in blocks[z])) for z in kept]
+        adjacency = tuple(
+            sum(1 << b for b, other in enumerate(masks) if b != a and other & mask)
+            for a, mask in enumerate(masks)
+        )
+        ri = RIInstance(tuple(cell_mass[z] // unit for z in kept), adjacency, kept, unit, scale)
+        yield partition, induced, decoder, distortion, ri
 
 
 def rd_points(pmf: JointPMF, d: DistortionMatrix) -> list[QuantizerPoint]:
@@ -213,11 +259,28 @@ def rd_points(pmf: JointPMF, d: DistortionMatrix) -> list[QuantizerPoint]:
 
     Rate depends on the partition alone, so non-optimal decoders only produce
     dominated points and are skipped.  The single-cell partition is always
-    present and anchors the envelope at rate exactly 0.
+    present and anchors the envelope at rate exactly 0.  Partitions with
+    the same RI instance share one solve, memoised within the call.  Raises
+    TooLarge before enumerating when the all-singletons partition, whose
+    support is the source's, would exceed the RI cap.
     """
+    support = sum(1 for m in marginal_source(pmf) if m > 0)
+    if support > DEFAULT_SYMBOL_CAP:
+        raise TooLarge(
+            f"{support} supported symbols exceeds the exactness cap {DEFAULT_SYMBOL_CAP}"
+        )
+    solved: dict[tuple, tuple[tuple[str, ...], int]] = {}
     points = []
-    for partition, induced, decoder, distortion in decoded_partitions(pmf, d):
-        protocol, rate = solve_ri(induced)
+    for partition, induced, decoder, distortion, ri in decoded_partitions(pmf, d):
+        key = (ri.weights, ri.adjacency)
+        if key not in solved:
+            solved[key] = solve_ri_weights(*key)
+        words, best = solved[key]
+        codewords = [""] * induced.nrows
+        for local, cell in enumerate(ri.kept):
+            codewords[cell] = words[local]
+        rate = Fraction(best * ri.unit, ri.scale)
+        protocol = RIProtocol(tuple(codewords), rate)
         points.append(QuantizerPoint(partition, decoder, rate, distortion, protocol, induced, d))
     return points
 
@@ -256,7 +319,7 @@ def causal_rd_curve(pmf: JointPMF, d: DistortionMatrix) -> RDCurve:
     """
     return lower_convex_envelope([
         (distortion, conditional_entropy_source_given_si(induced))
-        for _, induced, _, distortion in decoded_partitions(pmf, d)
+        for _, induced, _, distortion, _ in decoded_partitions(pmf, d)
     ])
 
 

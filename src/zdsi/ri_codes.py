@@ -10,9 +10,13 @@ symbols are assigned in decreasing-probability order, the incumbent starts at
 the (always feasible) Huffman code, and a symbol's candidate lengths are
 capped by the exact remaining budget
     w(x) * len < incumbent - committed - sum of 1-bit reservations
-for the still-unassigned non-isolated symbols.  The search runs on integer
-weights w = P * lcm(denominators of P) and converts to a Fraction only on
-return.
+for the still-unassigned non-isolated symbols.  ``solve_ri_weights`` is
+that search: it takes integer symbol weights and neighbor bitmasks and
+returns the words with their total weighted length.  ``solve_ri`` wraps it
+for a joint pmf, with the primitive weights w = P * lcm(denominators of P)
+of the support, and converts to a Fraction only on return; the quantizer
+cloud builds the weights and bitmasks itself and calls the kernel once per
+distinct instance.
 
 At each length a symbol tries one word per orbit of the binary-tree
 automorphisms that fix every assigned word; such a map preserves all prefix
@@ -148,22 +152,45 @@ def solve_ri(
     worst-case time is exponential).
     """
     support, kept = normalized_support(pmf)
-    if support.nrows > max_symbols:
-        raise TooLarge(
-            f"{support.nrows} supported symbols exceeds the exactness cap "
-            f"{max_symbols}; pass max_symbols to raise it knowingly"
-        )
-    adjacency = build_characteristic_graph(support).adjacency
     p = marginal_source(support)
     scale = lcm(*(q.denominator for q in p))
     w = [q.numerator * (scale // q.denominator) for q in p]
-    order = sorted((v for v in range(support.nrows) if adjacency[v]), key=lambda v: (-w[v], v))
+    words, best = solve_ri_weights(w, build_characteristic_graph(support).adjacency, max_symbols)
+    # re-embed onto the original alphabet; stripped symbols get the empty word
+    value = Fraction(best, scale)
+    out = [""] * pmf.nrows
+    for local, original in enumerate(kept):
+        out[original] = words[local]
+    return RIProtocol(tuple(out), value), value
+
+
+def solve_ri_weights(
+    weights, adjacency, max_symbols: int = DEFAULT_SYMBOL_CAP
+) -> tuple[tuple[str, ...], int]:
+    """Optimal RI words for positive integer symbol weights.
+
+    ``adjacency[v]`` is the neighbor bitmask of symbol v in the
+    characteristic graph.  Returns the words and their total weighted
+    length sum(w * len); with primitive weights of a normalized pmf, L_Y is
+    that total over sum(weights).  Isolated symbols get the empty word.
+    Raises TooLarge above ``max_symbols`` symbols.
+    """
+    n = len(weights)
+    if n > max_symbols:
+        raise TooLarge(
+            f"{n} supported symbols exceeds the exactness cap "
+            f"{max_symbols}; pass max_symbols to raise it knowingly"
+        )
+    w = weights
+    order = sorted((v for v in range(n) if adjacency[v]), key=lambda v: (-w[v], v))
+    if not order:  # no edge: every symbol takes the empty word
+        return ("",) * n, 0
     # the neighbors of order[i] that are already assigned when it is reached
     earlier = [[u for u in order[:i] if adjacency[v] >> u & 1] for i, v in enumerate(order)]
 
     # incumbent: Huffman on the support, isolated vertices overridden to the
     # empty codeword (feasible: edges only involve non-isolated vertices)
-    words = [""] * support.nrows
+    words = [""] * n
     huff = huffman_codes(w)
     best_words = list(words)
     for v in order:
@@ -237,15 +264,8 @@ def solve_ri(
                 return
             length += 1
 
-    if order:
-        recurse(0, 0)
-
-    # re-embed onto the original alphabet; stripped symbols get the empty word
-    value = Fraction(best, scale)
-    out = [""] * pmf.nrows
-    for local, original in enumerate(kept):
-        out[original] = best_words[local]
-    return RIProtocol(tuple(out), value), value
+    recurse(0, 0)
+    return tuple(best_words), best
 
 
 def solve_ri_conditional(

@@ -21,7 +21,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import BelowMinimumDistortion, DomainError, SyncLoss
+from .errors import BelowMinimumDistortion, DomainError, InvalidArgument, SyncLoss
 from .probability import JointPMF, sample_iid
 from .quantizers import QuantizerPoint, RDCurve
 
@@ -89,7 +89,7 @@ def build_plan(curve: RDCurve, cloud, target_d) -> TimeSharePlan:
         for p in cloud:
             if p.distortion == dd and p.rate == rr:
                 return p
-        raise ValueError(f"no cloud point at (D={dd}, R={rr})")
+        raise InvalidArgument(f"no cloud point at (D={dd}, R={rr})")
 
     if target_d >= vertices[-1][0]:
         p = point_at(*vertices[-1])
@@ -263,7 +263,7 @@ def run_simulation(
 def export_trace_csv(pmf: JointPMF, plan: TimeSharePlan, report: SimReport) -> str:
     """Per-symbol trace CSV "t,x,y,z,codeword,xhat"."""
     if report.trace is None:
-        raise ValueError("simulation was run without trace=True")
+        raise InvalidArgument("simulation was run without trace=True")
     k = plan.stages_of_first(report.n)
     lines = ["t,x,y,z,codeword,xhat"]
     for t, x, y, word, xhat in report.trace:

@@ -20,11 +20,13 @@ from zdsi.probability import (
     JointPMF,
     TriplePMF,
     _generator,
+    aggregate_rows,
     entropy_bits,
     integer_alphabet,
     sample_iid,
 )
-from zdsi.ri_codes import huffman_codes
+from zdsi.quantizers import enumerate_partitions, optimal_decoder
+from zdsi.ri_codes import huffman_codes, solve_ri
 from zdsi.sequential import (
     PrefixUniquenessEstimate,
     SchemeReport,
@@ -165,6 +167,23 @@ def oracle_best_decoder_distortion(pmf: JointPMF, cells, dmat) -> Fraction:
         if best is None or total < best:
             best = total
     return best
+
+
+def oracle_rd_points(pmf: JointPMF, dmat) -> list[tuple]:
+    """The Fraction route to a quantizer cloud, one partition at a time.
+
+    Per partition: ``aggregate_rows`` merges the rows with Fraction sums,
+    ``solve_ri`` derives the support, weights and graph from that joint, and
+    ``optimal_decoder`` builds its own cost table.  Returns (partition,
+    induced, decoder, distortion, protocol) tuples in enumeration order.
+    """
+    out = []
+    for partition in enumerate_partitions(pmf.source):
+        induced = aggregate_rows(pmf, partition.cells)
+        protocol, _ = solve_ri(induced)
+        decoder, distortion = optimal_decoder(pmf, partition, dmat)
+        out.append((partition, induced, decoder, distortion, protocol))
+    return out
 
 
 def oracle_feasible_mixture(vectors, target) -> list[Fraction] | None:

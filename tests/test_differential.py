@@ -1,14 +1,16 @@
 """Property-based differential tests of the exact kernels against the oracles.
 
 ``solve_ri`` is compared with the exhaustive RI search, ``optimal_decoder``
-with the brute force over all decoder rules, and the integer simplex behind
-``is_achievable`` with a Fraction-tableau simplex, all from ``conftest``.
+with the brute force over all decoder rules, the integer cloud of
+``rd_points`` with the per-partition Fraction route, and the integer simplex
+behind ``is_achievable`` with a Fraction-tableau simplex, all from
+``conftest``.
 The examples are derandomized so every run checks the same instances.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,10 +19,11 @@ from conftest import (
     oracle_confusability,
     oracle_feasible_mixture,
     oracle_optimal_ri_length,
+    oracle_rd_points,
 )
 from zdsi.multiterminal import _feasible_mixture
-from zdsi.probability import JointPMF, distortion_matrix, integer_alphabet
-from zdsi.quantizers import enumerate_partitions, optimal_decoder
+from zdsi.probability import Alphabet, JointPMF, distortion_matrix, hamming, integer_alphabet
+from zdsi.quantizers import enumerate_partitions, optimal_decoder, rd_points
 from zdsi.ri_codes import solve_ri
 
 EXACT = dict(deadline=None, derandomize=True, database=None)
@@ -98,6 +101,66 @@ def test_optimal_decoder_matches_brute_force(data):
                 ]
                 assert decoder.table[(z, y)] == costs.index(min(costs))
     assert set(decoder.table) == pairs
+
+
+# labels whose '+'-joined cells can collide with another symbol's label
+LABELS = ("a", "b", "c", "a+b", "b+c", "a+b+c", "1", "2")
+
+
+@st.composite
+def cloud_problems(draw):
+    """Joint with zero rows, empty SI columns and relabelled source symbols,
+    under Hamming or a rational distortion with a forced decoder tie."""
+    pmf = draw(joints(max_rows=5, max_cols=4))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=pmf.nrows, max_size=pmf.nrows, unique=True))
+    pmf = JointPMF(Alphabet("X", tuple(labels)), pmf.si, pmf.probs)
+    d = hamming(pmf.source) if draw(st.booleans()) else draw(distortions(pmf.source))
+    return pmf, d
+
+
+def _collision_problem():
+    """Cells {a, b} and {a+b} collide; row c has no mass and column 3 none."""
+    w = [[1, 2, 0], [0, 3, 0], [1, 1, 0], [0, 0, 0]]
+    pmf = JointPMF(
+        Alphabet("X", ("a", "b", "a+b", "c")),
+        integer_alphabet("Y", 3),
+        tuple(tuple(Fraction(v, 8) for v in row) for row in w),
+    )
+    return pmf, hamming(pmf.source)
+
+
+def _unnormalized_problem():
+    """Entries summing to 3/4: the rate stays the expected length under
+    these masses, not under their normalization."""
+    w = [[2, 0, 2], [0, 2, 2], [2, 2, 0], [4, 0, 2]]
+    pmf = JointPMF(
+        integer_alphabet("X", 4),
+        integer_alphabet("Y", 3),
+        tuple(tuple(Fraction(v, 24) for v in row) for row in w),
+    )
+    return pmf, hamming(pmf.source)
+
+
+@settings(max_examples=60, **EXACT)
+@given(cloud_problems())
+@example(_collision_problem())
+@example(_unnormalized_problem())
+def test_rd_points_matches_fraction_route(problem):
+    pmf, d = problem
+    got = rd_points(pmf, d)
+    want = oracle_rd_points(pmf, d)
+    assert len(got) == len(want)
+    for point, (partition, induced, decoder, distortion, protocol) in zip(got, want):
+        assert point.partition == partition
+        assert point.induced == induced  # labels, SI alphabet and probabilities
+        assert all(type(v) is Fraction for row in point.induced.probs for v in row)
+        assert point.decoder == decoder
+        assert point.distortion == distortion
+        assert point.rate == protocol.average_length
+        assert point.protocol.codewords == protocol.codewords
+        assert point.protocol.average_length == protocol.average_length
+        assert len(point.protocol.codewords) == induced.nrows
+        assert point.dmat is d
 
 
 # few distinct small coordinates: repeated values, zero right-hand sides and
