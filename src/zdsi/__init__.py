@@ -16,6 +16,7 @@ from .errors import (
     NegativeEntry,
     NoConvergence,
     ParseError,
+    SuboptimalProtocol,
     SumNotOne,
     SyncLoss,
     TooLarge,
@@ -84,6 +85,7 @@ from .ri_codes import (
     solve_ri,
     solve_ri_conditional,
     solve_ri_weights,
+    verify_ri,
 )
 from .sequential import (
     PrefixUniquenessEstimate,

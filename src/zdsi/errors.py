@@ -31,6 +31,10 @@ class InfeasibleProtocol(ZdsiError):
     """Codeword assignment violates the per-edge no-prefix condition."""
 
 
+class SuboptimalProtocol(ZdsiError):
+    """Feasible codeword assignment whose length is not the optimum; names both."""
+
+
 class EmptyInput(ZdsiError):
     """An operation that needs at least one element received none."""
 

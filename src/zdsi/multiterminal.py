@@ -33,7 +33,7 @@ from .probability import (
     marginal_si,
     transpose,
 )
-from .quantizers import DecoderRule, Partition, enumerate_partitions, rd_points
+from .quantizers import DecoderRule, Partition, _rd_points, enumerate_partitions
 from .ri_codes import huffman
 
 ORDERS = ("YX", "XY", "SIM")
@@ -95,16 +95,19 @@ def build_region(pmf: JointPMF, d_x: DistortionMatrix, d_y: DistortionMatrix) ->
     Pair (i, j) takes its X side from item i of the cloud of cols[j], the
     (x, v) joint with Y merged by partition j, and its Y side from item j of
     the cloud of rows[i], the (y, u) joint with X merged by partition i.
+    All the clouds share one RI memo, so each distinct RI instance of the
+    region is solved once per call.
     """
     by_y = transpose(pmf)
     cols = [transpose(aggregate_rows(by_y, py.cells)) for py in enumerate_partitions(pmf.si)]
     rows = [transpose(aggregate_rows(pmf, px.cells)) for px in enumerate_partitions(pmf.source)]
     len_v = [_huffman_length(marginal_si(joint)) for joint in cols]
     len_u = [_huffman_length(marginal_si(joint)) for joint in rows]
-    x_side = [rd_points(joint, d_x) for joint in cols]
+    solved: dict = {}
+    x_side = [_rd_points(joint, d_x, solved) for joint in cols]
     yx, xy = [], []
     for i, row in enumerate(rows):
-        for j, qy in enumerate(rd_points(row, d_y)):
+        for j, qy in enumerate(_rd_points(row, d_y, solved)):
             qx = x_side[j][i]
             # the Y table is keyed (v, u); re-key it in the X table's u-major order
             gy = DecoderRule({(u, v): qy.decoder.table[(v, u)] for u, v in qx.decoder.table})

@@ -264,12 +264,17 @@ def rd_points(pmf: JointPMF, d: DistortionMatrix) -> list[QuantizerPoint]:
     TooLarge before enumerating when the all-singletons partition, whose
     support is the source's, would exceed the RI cap.
     """
+    return _rd_points(pmf, d, {})
+
+
+def _rd_points(pmf: JointPMF, d: DistortionMatrix, solved: dict) -> list[QuantizerPoint]:
+    """``rd_points`` with the caller's RI memo, keyed on (weights, adjacency);
+    the instance alone fixes the words, so clouds of one caller may share it."""
     support = sum(1 for m in marginal_source(pmf) if m > 0)
     if support > DEFAULT_SYMBOL_CAP:
         raise TooLarge(
             f"{support} supported symbols exceeds the exactness cap {DEFAULT_SYMBOL_CAP}"
         )
-    solved: dict[tuple, tuple[tuple[str, ...], int]] = {}
     points = []
     for partition, induced, decoder, distortion, ri in decoded_partitions(pmf, d):
         key = (ri.weights, ri.adjacency)

@@ -5,18 +5,27 @@ edges of the characteristic graph: given the side information, the decoder
 only ever disambiguates confusable symbols.  The empty codeword is therefore
 legal exactly on isolated vertices.
 
-The optimal average length L_Y is found by depth-first branch-and-bound:
-symbols are assigned in decreasing-probability order, the incumbent starts at
-the (always feasible) Huffman code, and a symbol's candidate lengths are
-capped by the exact remaining budget
-    w(x) * len < incumbent - committed - sum of 1-bit reservations
-for the still-unassigned non-isolated symbols.  ``solve_ri_weights`` is
-that search: it takes integer symbol weights and neighbor bitmasks and
-returns the words with their total weighted length.  ``solve_ri`` wraps it
-for a joint pmf, with the primitive weights w = P * lcm(denominators of P)
-of the support, and converts to a Fraction only on return; the quantizer
-cloud builds the weights and bitmasks itself and calls the kernel once per
-distinct instance.
+The optimal total weighted length is first proved by a subset DP.  Strip the
+first bit of every word: isolated vertices keep the empty word, and the
+non-isolated set N splits into the words that start with 0 and those that
+start with 1, each side an RI code of its induced subgraph.  So L(S) = 0 when
+G[S] has no edge, and otherwise
+    L(S) = w(N) + min over splits {A, N - A}, both nonempty, of L(A) + L(N - A)
+with one fixed vertex of N kept in A, tabulated over bitmasks.  When L(all)
+equals the Huffman cost, the Huffman words are returned.  Otherwise a
+depth-first search assigns symbols in decreasing-weight order and stops at
+its first leaf: a symbol's candidate lengths are capped by
+    committed + w(x) * len + bound(rest) <= L(all)
+where the bound of the still-unassigned suffix is its DP value plus one bit
+of weight for each of its vertices isolated within it but not in G.  The
+bound is admissible, so the first leaf is the first optimal assignment of
+the search order.  ``solve_ri_weights`` is that proof and search: it takes
+integer symbol weights and neighbor bitmasks and returns the words with
+their total weighted length, and ``verify_ri`` checks any words against the
+same DP.  ``solve_ri`` wraps the kernel for a joint pmf, with the primitive
+weights w = P * lcm(denominators of P) of the support, and converts to a
+Fraction only on return; the quantizer cloud builds the weights and bitmasks
+itself and calls the kernel once per distinct instance.
 
 At each length a symbol tries one word per orbit of the binary-tree
 automorphisms that fix every assigned word; such a map preserves all prefix
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, TooLarge
+from .errors import DomainError, InfeasibleProtocol, InvalidArgument, SuboptimalProtocol, TooLarge
 from .graphs import CharacteristicGraph, build_characteristic_graph
 from .probability import (
     Alphabet,
@@ -164,6 +173,85 @@ def solve_ri(
     return RIProtocol(tuple(out), value), value
 
 
+def _check_instance(weights, adjacency, max_symbols: int) -> None:
+    """Raise InvalidArgument unless the weights are positive and the masks
+    describe a simple undirected graph on range(len(weights)), and TooLarge
+    above ``max_symbols`` symbols."""
+    n = len(weights)
+    if len(adjacency) != n:
+        raise InvalidArgument(f"{n} weights but {len(adjacency)} neighbor masks")
+    for v, (weight, mask) in enumerate(zip(weights, adjacency)):
+        if weight <= 0:
+            raise InvalidArgument(f"symbol {v} has non-positive weight {weight}")
+        if mask >> n:
+            raise InvalidArgument(f"symbol {v}'s neighbor mask {mask:#b} leaves range({n})")
+        if mask >> v & 1:
+            raise InvalidArgument(f"symbol {v} is its own neighbor")
+        while mask:
+            u = (mask & -mask).bit_length() - 1
+            if not adjacency[u] >> v & 1:
+                raise InvalidArgument(f"edge {v}-{u} is missing from symbol {u}'s mask")
+            mask &= mask - 1
+    if n > max_symbols:
+        raise TooLarge(
+            f"{n} supported symbols exceeds the exactness cap "
+            f"{max_symbols}; pass max_symbols to raise it knowingly"
+        )
+
+
+def _subset_lengths(weights, adjacency) -> list[int]:
+    """The optimal total weighted RI length L(S) of every subset S of the
+    symbols, indexed by bitmask (see the module docstring).
+
+    A subset with isolated vertices takes the value of its non-isolated
+    part, a proper subset; otherwise each split {A, S - A} is counted once
+    by keeping the lowest vertex of S in A.
+    """
+    n = len(weights)
+    size = [0] * (1 << n)
+    length = [0] * (1 << n)
+    vertices = [(1 << v, mask) for v, mask in enumerate(adjacency)]
+    for s in range(1, 1 << n):
+        low = s & -s
+        size[s] = size[s ^ low] + weights[low.bit_length() - 1]
+        linked = 0  # the vertices of s with a neighbor in s
+        for bit, mask in vertices:
+            if s & bit and mask & s:
+                linked |= bit
+        if linked != s:
+            length[s] = length[linked]
+            continue
+        rest = s ^ low
+        sub = rest & (rest - 1)
+        best = length[low | sub] + length[rest ^ sub]
+        while sub:
+            sub = (sub - 1) & rest
+            split = length[low | sub] + length[rest ^ sub]
+            if split < best:
+                best = split
+        length[s] = size[s] + best
+    return length
+
+
+def _suffix_bounds(weights, adjacency, order, lengths) -> list[int]:
+    """Lower bounds on the total weighted length of each suffix of ``order``.
+
+    ``order`` lists the non-isolated symbols and ``lengths`` is the
+    instance's ``_subset_lengths``.  bound[i] is the DP value of order[i:]
+    plus one bit of weight for each of its symbols isolated within it, since
+    it still needs a nonempty word; bound[0] is the optimum and the last
+    bound is 0.
+    """
+    bound = [0] * (len(order) + 1)
+    suffix = 0
+    for i in range(len(order) - 1, -1, -1):
+        suffix |= 1 << order[i]
+        bound[i] = lengths[suffix] + sum(
+            weights[v] for v in order[i:] if not adjacency[v] & suffix
+        )
+    return bound
+
+
 def solve_ri_weights(
     weights, adjacency, max_symbols: int = DEFAULT_SYMBOL_CAP
 ) -> tuple[tuple[str, ...], int]:
@@ -173,35 +261,31 @@ def solve_ri_weights(
     characteristic graph.  Returns the words and their total weighted
     length sum(w * len); with primitive weights of a normalized pmf, L_Y is
     that total over sum(weights).  Isolated symbols get the empty word.
-    Raises TooLarge above ``max_symbols`` symbols.
+    Raises InvalidArgument for mismatched lengths, a non-positive weight or
+    a mask that is not a simple undirected graph, and TooLarge above
+    ``max_symbols`` symbols.
     """
+    _check_instance(weights, adjacency, max_symbols)
     n = len(weights)
-    if n > max_symbols:
-        raise TooLarge(
-            f"{n} supported symbols exceeds the exactness cap "
-            f"{max_symbols}; pass max_symbols to raise it knowingly"
-        )
     w = weights
     order = sorted((v for v in range(n) if adjacency[v]), key=lambda v: (-w[v], v))
     if not order:  # no edge: every symbol takes the empty word
         return ("",) * n, 0
-    # the neighbors of order[i] that are already assigned when it is reached
-    earlier = [[u for u in order[:i] if adjacency[v] >> u & 1] for i, v in enumerate(order)]
+    lengths = _subset_lengths(w, adjacency)
+    opt = lengths[-1]
 
-    # incumbent: Huffman on the support, isolated vertices overridden to the
-    # empty codeword (feasible: edges only involve non-isolated vertices)
+    # Huffman on the support, isolated vertices overridden to the empty
+    # codeword (feasible: edges only involve non-isolated vertices)
     words = [""] * n
     huff = huffman_codes(w)
-    best_words = list(words)
-    for v in order:
-        best_words[v] = huff[v]
-    best = sum(w[v] * len(huff[v]) for v in order)
+    if sum(w[v] * len(huff[v]) for v in order) == opt:
+        for v in order:
+            words[v] = huff[v]
+        return tuple(words), opt
 
-    # 1-bit reservation for each unassigned non-isolated symbol
-    reserve = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        reserve[i] = reserve[i + 1] + w[order[i]]
-
+    bound = _suffix_bounds(w, adjacency, order, lengths)
+    # the neighbors of order[i] that are already assigned when it is reached
+    earlier = [[u for u in order[:i] if adjacency[v] >> u & 1] for i, v in enumerate(order)]
     # every nonempty prefix of an assigned word, with the number of words under it
     trie: dict[str, int] = {}
 
@@ -220,29 +304,22 @@ def solve_ri_weights(
         out.sort()
         return out
 
-    def recurse(pos: int, committed: int) -> None:
-        nonlocal best, best_words
+    def search(pos: int, committed: int) -> int | None:
+        """Total of the first leaf below this node within ``opt``, if any."""
         v = order[pos]
         weight = w[v]
-        rest = reserve[pos + 1]
         near = [words[u] for u in earlier[pos]]
         neighbor_span = max(map(len, near), default=0)
         last = pos == len(order) - 1
-        length = 1
-        while True:
-            # strict improvement only: committed + weight * length + rest < best
-            if length > (best - committed - rest - 1) // weight:
-                return
+        for length in range(1, (opt - committed - bound[pos + 1]) // weight + 1):
             any_feasible = False
             if last:
                 # the leaf value depends on the length alone; of the shortest
                 # feasible words the greatest is kept
                 word = _last_free_word(length, near)
                 if word is not None:
-                    best = committed + weight * length
-                    best_words = list(words)
-                    best_words[v] = word
-                    return
+                    words[v] = word
+                    return committed + weight * length
             else:
                 for word in candidates(length):
                     if any(word.startswith(u) or u.startswith(word) for u in near):
@@ -251,7 +328,9 @@ def solve_ri_weights(
                     words[v] = word
                     for k in range(1, length + 1):
                         trie[word[:k]] = trie.get(word[:k], 0) + 1
-                    recurse(pos + 1, committed + weight * length)
+                    total = search(pos + 1, committed + weight * length)
+                    if total is not None:
+                        return total
                     for k in range(1, length + 1):
                         if trie[word[:k]] == 1:
                             del trie[word[:k]]
@@ -261,11 +340,38 @@ def solve_ri_weights(
             # neighbor words being prefixes; a fully blocked level stays
             # blocked at every longer length
             if not any_feasible and length >= neighbor_span:
-                return
-            length += 1
+                return None
+        return None
 
-    recurse(0, 0)
-    return tuple(best_words), best
+    total = search(0, 0)
+    if total is None:
+        raise AssertionError("unreachable: the search missed the DP optimum")
+    return tuple(words), total
+
+
+def verify_ri(weights, adjacency, words, max_symbols: int = DEFAULT_SYMBOL_CAP) -> int:
+    """Check that ``words`` is an optimal RI protocol and return its total.
+
+    The instance and the cap are checked as by ``solve_ri_weights``.  Raises
+    InfeasibleProtocol when two neighbors' words are equal or one prefixes
+    the other, and SuboptimalProtocol when the total weighted length differs
+    from the subset DP's optimum.
+    """
+    _check_instance(weights, adjacency, max_symbols)
+    n = len(weights)
+    if len(words) != n or any(set(word) - {"0", "1"} for word in words):
+        raise InvalidArgument(f"expected {n} binary words, got {words!r}")
+    for v, mask in enumerate(adjacency):
+        for u in range(v + 1, n):
+            if mask >> u & 1 and codewords_conflict(words[u], words[v]):
+                raise InfeasibleProtocol(
+                    f"neighbors {v} and {u} have prefix-related words {words[v]!r} and {words[u]!r}"
+                )
+    total = sum(weight * len(word) for weight, word in zip(weights, words))
+    opt = _subset_lengths(weights, adjacency)[-1]
+    if total != opt:
+        raise SuboptimalProtocol(f"total weighted length {total}, optimum {opt}")
+    return total
 
 
 def solve_ri_conditional(

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from zdsi.errors import SyncLoss
+from zdsi.errors import SyncLoss, TooLarge
 from zdsi.probability import (
     Alphabet,
     JointPMF,
@@ -26,7 +26,7 @@ from zdsi.probability import (
     sample_iid,
 )
 from zdsi.quantizers import enumerate_partitions, optimal_decoder
-from zdsi.ri_codes import huffman_codes, solve_ri
+from zdsi.ri_codes import DEFAULT_SYMBOL_CAP, huffman_codes, solve_ri
 from zdsi.sequential import (
     PrefixUniquenessEstimate,
     SchemeReport,
@@ -141,6 +141,131 @@ def oracle_optimal_ri_length(pmf: JointPMF, max_len: int = 3) -> Fraction:
     rec(0, Fraction(0))
     assert best[0] is not None, "oracle found no feasible assignment"
     return best[0]
+
+
+def _oracle_last_free_word(length: int, words) -> str | None:
+    """Lexicographically greatest word of ``length`` bits conflicting with no word.
+
+    Only paths inside the words' own prefix tree are explored: a prefix that
+    no word extends completes with all ones.  None when every word of that
+    length conflicts.
+    """
+
+    def descend(prefix: str) -> str | None:
+        if any(prefix.startswith(u) for u in words):
+            return None
+        if not any(u.startswith(prefix) for u in words):
+            return prefix + "1" * (length - len(prefix))
+        if len(prefix) == length:
+            return None
+        return descend(prefix + "1") or descend(prefix + "0")
+
+    return descend("")
+
+
+def oracle_solve_ri_weights(
+    weights, adjacency, max_symbols: int = DEFAULT_SYMBOL_CAP
+) -> tuple[tuple[str, ...], int]:
+    """The branch-and-bound RI kernel that preceded the subset DP, kept as an
+    oracle: Huffman incumbent, 1-bit reservations, and the full search.
+
+    ``adjacency[v]`` is the neighbor bitmask of symbol v in the
+    characteristic graph.  Returns the words and their total weighted
+    length sum(w * len); with primitive weights of a normalized pmf, L_Y is
+    that total over sum(weights).  Isolated symbols get the empty word.
+    Raises TooLarge above ``max_symbols`` symbols.
+    """
+    n = len(weights)
+    if n > max_symbols:
+        raise TooLarge(
+            f"{n} supported symbols exceeds the exactness cap "
+            f"{max_symbols}; pass max_symbols to raise it knowingly"
+        )
+    w = weights
+    order = sorted((v for v in range(n) if adjacency[v]), key=lambda v: (-w[v], v))
+    if not order:  # no edge: every symbol takes the empty word
+        return ("",) * n, 0
+    # the neighbors of order[i] that are already assigned when it is reached
+    earlier = [[u for u in order[:i] if adjacency[v] >> u & 1] for i, v in enumerate(order)]
+
+    # incumbent: Huffman on the support, isolated vertices overridden to the
+    # empty codeword (feasible: edges only involve non-isolated vertices)
+    words = [""] * n
+    huff = huffman_codes(w)
+    best_words = list(words)
+    for v in order:
+        best_words[v] = huff[v]
+    best = sum(w[v] * len(huff[v]) for v in order)
+
+    # 1-bit reservation for each unassigned non-isolated symbol
+    reserve = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        reserve[i] = reserve[i + 1] + w[order[i]]
+
+    # every nonempty prefix of an assigned word, with the number of words under it
+    trie: dict[str, int] = {}
+
+    def candidates(length: int) -> list[str]:
+        """Least word of each orbit of the tree automorphisms fixing the trie."""
+        out = []
+        for t in ("", *trie):
+            k = len(t)
+            if k == length:
+                out.append(t)
+            elif k < length:
+                if t + "0" not in trie:
+                    out.append(t + "0" * (length - k))
+                elif t + "1" not in trie:
+                    out.append(t + "1" + "0" * (length - k - 1))
+        out.sort()
+        return out
+
+    def recurse(pos: int, committed: int) -> None:
+        nonlocal best, best_words
+        v = order[pos]
+        weight = w[v]
+        rest = reserve[pos + 1]
+        near = [words[u] for u in earlier[pos]]
+        neighbor_span = max(map(len, near), default=0)
+        last = pos == len(order) - 1
+        length = 1
+        while True:
+            # strict improvement only: committed + weight * length + rest < best
+            if length > (best - committed - rest - 1) // weight:
+                return
+            any_feasible = False
+            if last:
+                # the leaf value depends on the length alone; of the shortest
+                # feasible words the greatest is kept
+                word = _oracle_last_free_word(length, near)
+                if word is not None:
+                    best = committed + weight * length
+                    best_words = list(words)
+                    best_words[v] = word
+                    return
+            else:
+                for word in candidates(length):
+                    if any(word.startswith(u) or u.startswith(word) for u in near):
+                        continue
+                    any_feasible = True
+                    words[v] = word
+                    for k in range(1, length + 1):
+                        trie[word[:k]] = trie.get(word[:k], 0) + 1
+                    recurse(pos + 1, committed + weight * length)
+                    for k in range(1, length + 1):
+                        if trie[word[:k]] == 1:
+                            del trie[word[:k]]
+                        else:
+                            trie[word[:k]] -= 1
+            # once past every neighbor's length, conflicts come only from
+            # neighbor words being prefixes; a fully blocked level stays
+            # blocked at every longer length
+            if not any_feasible and length >= neighbor_span:
+                return
+            length += 1
+
+    recurse(0, 0)
+    return tuple(best_words), best
 
 
 def oracle_best_decoder_distortion(pmf: JointPMF, cells, dmat) -> Fraction:

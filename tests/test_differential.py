@@ -1,6 +1,8 @@
 """Property-based differential tests of the exact kernels against the oracles.
 
-``solve_ri`` is compared with the exhaustive RI search, ``optimal_decoder``
+``solve_ri`` and the subset DP behind it are compared with the exhaustive RI
+search, the RI kernel ``solve_ri_weights`` with the branch-and-bound it
+replaced, ``optimal_decoder
 with the brute force over all decoder rules, the integer cloud of
 ``rd_points`` with the per-partition Fraction route, and the integer simplex
 behind ``is_achievable`` with a Fraction-tableau simplex, all from
@@ -9,6 +11,8 @@ The examples are derandomized so every run checks the same instances.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,11 +24,21 @@ from conftest import (
     oracle_feasible_mixture,
     oracle_optimal_ri_length,
     oracle_rd_points,
+    oracle_solve_ri_weights,
 )
+from zdsi.graphs import build_characteristic_graph
 from zdsi.multiterminal import _feasible_mixture
-from zdsi.probability import Alphabet, JointPMF, distortion_matrix, hamming, integer_alphabet
+from zdsi.probability import (
+    Alphabet,
+    JointPMF,
+    distortion_matrix,
+    hamming,
+    integer_alphabet,
+    marginal_source,
+    normalized_support,
+)
 from zdsi.quantizers import enumerate_partitions, optimal_decoder, rd_points
-from zdsi.ri_codes import solve_ri
+from zdsi.ri_codes import _subset_lengths, _suffix_bounds, solve_ri, solve_ri_weights
 
 EXACT = dict(deadline=None, derandomize=True, database=None)
 
@@ -67,9 +81,15 @@ def distortions(draw, source):
 @given(joints(max_rows=5, max_cols=4))
 def test_solve_ri_matches_exhaustive_oracle(pmf):
     protocol, value = solve_ri(pmf)
-    support = sum(1 for row in pmf.probs if any(row))
+    support, _ = normalized_support(pmf)
     # words of length 3 suffice up to 4 symbols; 5 can need depth 4
-    assert value == oracle_optimal_ri_length(pmf, max_len=3 if support <= 4 else 4)
+    assert value == oracle_optimal_ri_length(pmf, max_len=3 if support.nrows <= 4 else 4)
+    # the subset DP's optimum on its own, from the primitive weights
+    p = marginal_source(support)
+    scale = lcm(*(q.denominator for q in p))
+    weights = [q.numerator * (scale // q.denominator) for q in p]
+    adjacency = build_characteristic_graph(support).adjacency
+    assert Fraction(_subset_lengths(weights, adjacency)[-1], scale) == value
     words = protocol.codewords
     p = [sum(row, Fraction(0)) for row in pmf.probs]
     assert protocol.average_length == value == sum(q * len(w) for q, w in zip(p, words))
@@ -78,6 +98,55 @@ def test_solve_ri_matches_exhaustive_oracle(pmf):
         for b in range(pmf.nrows):
             if conf[a][b]:
                 assert not _conflict(words[a], words[b])
+
+
+@st.composite
+def ri_instances(draw, max_symbols: int = 8):
+    """Integer weights 1-30 drawn from a small pool, so equal weights are
+    common, and a graph whose edge density runs from empty to complete."""
+    n = draw(st.integers(2, max_symbols))
+    pool = draw(st.lists(st.integers(1, 30), min_size=1, max_size=n))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    density = draw(st.integers(0, 8))  # an edge where its coin is below it; 8 is complete
+    pairs = list(combinations(range(n), 2))
+    coins = draw(st.lists(st.integers(0, 7), min_size=len(pairs), max_size=len(pairs)))
+    adjacency = [0] * n
+    for (a, b), coin in zip(pairs, coins):
+        if coin < density:
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
+    return weights, adjacency
+
+
+def _ring(n: int) -> list[int]:
+    return [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)]
+
+
+@settings(max_examples=200, **EXACT)
+@given(ri_instances())
+@example(([1] * 5, _ring(5)))
+@example(([3, 3, 3, 3, 3, 3, 3], _ring(7)))
+@example(([1] * 6, [63 ^ 1 << v for v in range(6)]))
+@example(([1, 2, 1, 1, 1, 1, 1, 1], _ring(8)))
+def test_kernel_returns_the_branch_and_bound_protocol(instance):
+    weights, adjacency = instance
+    assert solve_ri_weights(weights, adjacency) == oracle_solve_ri_weights(weights, adjacency)
+
+
+@settings(max_examples=150, **EXACT)
+@given(ri_instances())
+def test_suffix_bounds_lie_between_reservations_and_optimal_words(instance):
+    weights, adjacency = instance
+    # any order of the non-isolated symbols; here the index order
+    order = [v for v in range(len(weights)) if adjacency[v]]
+    bound = _suffix_bounds(weights, adjacency, order, _subset_lengths(weights, adjacency))
+    words, total = solve_ri_weights(weights, adjacency)
+    assert bound[0] == total and bound[-1] == 0
+    for i in range(len(order)):
+        # every non-isolated symbol takes at least one bit, and no feasible
+        # code, the optimal one included, spends less than the bound
+        assert sum(weights[v] for v in order[i:]) <= bound[i]
+        assert bound[i] <= sum(weights[v] * len(words[v]) for v in order[i:])
 
 
 @settings(max_examples=150, **EXACT)

@@ -18,6 +18,7 @@ from zdsi.probability import (
     typewriter,
 )
 from zdsi.quantizers import Partition, lower_convex_envelope, rd_points
+from zdsi.ri_codes import solve_ri_weights
 from zdsi.streaming import build_plan, export_trace_csv, run_simulation
 
 A2 = integer_alphabet("A", 2)
@@ -43,10 +44,16 @@ def _export_untraced_run():
         lambda: Coloring((0, 2), 2),
         lambda: build_plan(lower_convex_envelope([(0, 1)]), [], 0),
         _export_untraced_run,
+        lambda: solve_ri_weights([1, 2, 3], [2, 1]),
+        lambda: solve_ri_weights([1, -1], [2, 1]),
+        lambda: solve_ri_weights([1, 1], [2, 5]),
+        lambda: solve_ri_weights([1, 1], [3, 1]),
+        lambda: solve_ri_weights([1, 1], [2, 0]),
     ],
     ids=[
         "partition", "empty-alphabet", "repeated-symbol", "joint-shape", "triple-shape",
         "distortion-shape", "typewriter", "coloring", "plan-point", "trace-export",
+        "ri-lengths", "ri-weight", "ri-mask-range", "ri-self-loop", "ri-asymmetric",
     ],
 )
 def test_malformed_arguments_raise_invalid_argument(call):

@@ -4,6 +4,8 @@ cap that fails before enumerating.
 Core claims:
     - ``rd_points`` calls the RI kernel once per distinct (weights,
       adjacency) key, and its memo lives for one call only
+    - ``build_region`` shares one such memo across all its clouds, again for
+      one call only
     - a source with more supported symbols than the RI cap raises TooLarge
       before any partition is enumerated, on the plain and the encoder-SI
       route and from the command line
@@ -20,7 +22,15 @@ from zdsi import quantizers
 from zdsi.cli import dispatch
 from zdsi.errors import TooLarge
 from zdsi.fixtures import c6, fully_connected_example, pentagon, split_cell_channel
-from zdsi.probability import JointPMF, TriplePMF, hamming, integer_alphabet, typewriter
+from zdsi.multiterminal import build_region
+from zdsi.probability import (
+    JointPMF,
+    TriplePMF,
+    distortion_matrix,
+    hamming,
+    integer_alphabet,
+    typewriter,
+)
 from zdsi.ri_codes import DEFAULT_SYMBOL_CAP, solve_ri_weights
 
 
@@ -54,6 +64,38 @@ def test_one_kernel_solve_per_distinct_instance(kernel_calls, problem, partition
     # a second call solves them all again: no memo outlives a call
     quantizers.rd_points(pmf, d)
     assert len(kernel_calls) == 2 * solves
+
+
+def _region_joint(weights):
+    """Joint over X and Y with these integer weights; Hamming on X, and on Y a
+    rational distortion with a different reproduction alphabet."""
+    total = sum(map(sum, weights))
+    pmf = JointPMF(
+        integer_alphabet("X", len(weights)),
+        integer_alphabet("Y", len(weights[0])),
+        tuple(tuple(Fraction(w, total) for w in row) for row in weights),
+    )
+    rows = [[Fraction((y + k) % 3, 2) for k in range(2)] for y in range(pmf.ncols)]
+    return pmf, hamming(pmf.source), distortion_matrix(pmf.si, integer_alphabet("R", 2), rows)
+
+
+@pytest.mark.parametrize(
+    "weights,points,distinct",
+    [
+        # one memo per cloud made 50 and 345 solves
+        ([[2, 1, 0], [0, 3, 1], [1, 0, 2]], 50, 5),
+        ([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 0, 3]], 450, 18),
+    ],
+    ids=["3x3", "4x4"],
+)
+def test_one_kernel_solve_per_distinct_instance_of_a_region(kernel_calls, weights, points, distinct):
+    region = build_region(*_region_joint(weights))
+    assert len(region.points) == points
+    keys = {tuple(args[:2]) for args in kernel_calls}
+    assert len(kernel_calls) == len(keys) == distinct
+    # a second call solves them all again: no memo outlives a call
+    build_region(*_region_joint(weights))
+    assert len(kernel_calls) == 2 * distinct
 
 
 @pytest.fixture
