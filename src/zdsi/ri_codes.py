@@ -11,10 +11,13 @@ non-isolated set N splits into the words that start with 0 and those that
 start with 1, each side an RI code of its induced subgraph.  So L(S) = 0 when
 G[S] has no edge, and otherwise
     L(S) = w(N) + min over splits {A, N - A}, both nonempty, of L(A) + L(N - A)
-with one fixed vertex of N kept in A, tabulated over bitmasks.  When L(all)
-equals the Huffman cost, the Huffman words are returned.  Otherwise a
-depth-first search assigns symbols in decreasing-weight order and stops at
-its first leaf: a symbol's candidate lengths are capped by
+with one fixed vertex of N kept in A, tabulated over bitmasks.  Words of
+different connected components never meet, so L is the sum of its values on
+the components, and each component is tabulated over its own symbols only:
+the table grows with the largest component, not with the number of symbols.
+When L(all) equals the Huffman cost, the Huffman words are returned.
+Otherwise a depth-first search assigns symbols in decreasing-weight order
+and stops at its first leaf: a symbol's candidate lengths are capped by
     committed + w(x) * len + bound(rest) <= L(all)
 where the bound of the still-unassigned suffix is its DP value plus one bit
 of weight for each of its vertices isolated within it but not in G.  The
@@ -233,21 +236,57 @@ def _subset_lengths(weights, adjacency) -> list[int]:
     return length
 
 
-def _suffix_bounds(weights, adjacency, order, lengths) -> list[int]:
+def _component_lengths(weights, adjacency) -> list[tuple[list[int], list[int]]]:
+    """The connected components of G on its non-isolated symbols, each as
+    its symbols in index order and its ``_subset_lengths`` table, in which
+    bit k stands for the k-th of those symbols."""
+    n = len(weights)
+    out = []
+    rest = sum(1 << v for v in range(n) if adjacency[v])
+    while rest:
+        component, frontier = 0, rest & -rest
+        while frontier:
+            component |= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adjacency[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~component
+        rest ^= component
+        if component == (1 << n) - 1:  # connected, no isolated symbol: bits stay
+            out.append((list(range(n)), _subset_lengths(weights, adjacency)))
+            break
+        members = [u for u in range(n) if component >> u & 1]
+        local = [
+            sum(1 << k for k, x in enumerate(members) if adjacency[u] >> x & 1) for u in members
+        ]
+        out.append((members, _subset_lengths([weights[u] for u in members], local)))
+    return out
+
+
+def _suffix_bounds(weights, adjacency, order, components) -> list[int]:
     """Lower bounds on the total weighted length of each suffix of ``order``.
 
-    ``order`` lists the non-isolated symbols and ``lengths`` is the
-    instance's ``_subset_lengths``.  bound[i] is the DP value of order[i:]
-    plus one bit of weight for each of its symbols isolated within it, since
-    it still needs a nonempty word; bound[0] is the optimum and the last
-    bound is 0.
+    ``order`` lists the non-isolated symbols and ``components`` is their
+    ``_component_lengths``.  bound[i] is the DP value of order[i:], summed
+    over the components, plus one bit of weight for each of its symbols
+    isolated within it, since it still needs a nonempty word; bound[0] is
+    the optimum and the last bound is 0.
     """
+    place = {  # symbol -> its component and its bit there
+        u: (c, 1 << k) for c, (members, _) in enumerate(components) for k, u in enumerate(members)
+    }
+    masks = [0] * len(components)
     bound = [0] * (len(order) + 1)
     suffix = 0
     for i in range(len(order) - 1, -1, -1):
-        suffix |= 1 << order[i]
-        bound[i] = lengths[suffix] + sum(
-            weights[v] for v in order[i:] if not adjacency[v] & suffix
+        v = order[i]
+        suffix |= 1 << v
+        c, bit = place[v]
+        masks[c] |= bit
+        bound[i] = sum(table[mask] for (_, table), mask in zip(components, masks)) + sum(
+            weights[u] for u in order[i:] if not adjacency[u] & suffix
         )
     return bound
 
@@ -271,8 +310,8 @@ def solve_ri_weights(
     order = sorted((v for v in range(n) if adjacency[v]), key=lambda v: (-w[v], v))
     if not order:  # no edge: every symbol takes the empty word
         return ("",) * n, 0
-    lengths = _subset_lengths(w, adjacency)
-    opt = lengths[-1]
+    components = _component_lengths(w, adjacency)
+    opt = sum(table[-1] for _, table in components)
 
     # Huffman on the support, isolated vertices overridden to the empty
     # codeword (feasible: edges only involve non-isolated vertices)
@@ -283,7 +322,7 @@ def solve_ri_weights(
             words[v] = huff[v]
         return tuple(words), opt
 
-    bound = _suffix_bounds(w, adjacency, order, lengths)
+    bound = _suffix_bounds(w, adjacency, order, components)
     # the neighbors of order[i] that are already assigned when it is reached
     earlier = [[u for u in order[:i] if adjacency[v] >> u & 1] for i, v in enumerate(order)]
     # every nonempty prefix of an assigned word, with the number of words under it
@@ -349,15 +388,15 @@ def solve_ri_weights(
     return tuple(words), total
 
 
-def verify_ri(weights, adjacency, words, max_symbols: int = DEFAULT_SYMBOL_CAP) -> int:
+def verify_ri(weights, adjacency, words) -> int:
     """Check that ``words`` is an optimal RI protocol and return its total.
 
-    The instance and the cap are checked as by ``solve_ri_weights``.  Raises
-    InfeasibleProtocol when two neighbors' words are equal or one prefixes
-    the other, and SuboptimalProtocol when the total weighted length differs
-    from the subset DP's optimum.
+    The instance is checked as by ``solve_ri_weights`` at the default symbol
+    cap.  Raises InfeasibleProtocol when two neighbors' words are equal or
+    one prefixes the other, and SuboptimalProtocol when the total weighted
+    length differs from the subset DP's optimum.
     """
-    _check_instance(weights, adjacency, max_symbols)
+    _check_instance(weights, adjacency, DEFAULT_SYMBOL_CAP)
     n = len(weights)
     if len(words) != n or any(set(word) - {"0", "1"} for word in words):
         raise InvalidArgument(f"expected {n} binary words, got {words!r}")
@@ -368,7 +407,7 @@ def verify_ri(weights, adjacency, words, max_symbols: int = DEFAULT_SYMBOL_CAP) 
                     f"neighbors {v} and {u} have prefix-related words {words[v]!r} and {words[u]!r}"
                 )
     total = sum(weight * len(word) for weight, word in zip(weights, words))
-    opt = _subset_lengths(weights, adjacency)[-1]
+    opt = sum(table[-1] for _, table in _component_lengths(weights, adjacency))
     if total != opt:
         raise SuboptimalProtocol(f"total weighted length {total}, optimum {opt}")
     return total

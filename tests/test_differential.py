@@ -2,11 +2,10 @@
 
 ``solve_ri`` and the subset DP behind it are compared with the exhaustive RI
 search, the RI kernel ``solve_ri_weights`` with the branch-and-bound it
-replaced, ``optimal_decoder
-with the brute force over all decoder rules, the integer cloud of
-``rd_points`` with the per-partition Fraction route, and the integer simplex
-behind ``is_achievable`` with a Fraction-tableau simplex, all from
-``conftest``.
+replaced, ``optimal_decoder`` with the brute force over all decoder rules,
+the integer cloud of ``rd_points`` with the per-partition Fraction route, and
+the integer simplex behind ``is_achievable`` with a Fraction-tableau simplex,
+all from ``conftest``.
 The examples are derandomized so every run checks the same instances.
 """
 
@@ -38,7 +37,13 @@ from zdsi.probability import (
     normalized_support,
 )
 from zdsi.quantizers import enumerate_partitions, optimal_decoder, rd_points
-from zdsi.ri_codes import _subset_lengths, _suffix_bounds, solve_ri, solve_ri_weights
+from zdsi.ri_codes import (
+    _component_lengths,
+    _subset_lengths,
+    _suffix_bounds,
+    solve_ri,
+    solve_ri_weights,
+)
 
 EXACT = dict(deadline=None, derandomize=True, database=None)
 
@@ -139,7 +144,7 @@ def test_suffix_bounds_lie_between_reservations_and_optimal_words(instance):
     weights, adjacency = instance
     # any order of the non-isolated symbols; here the index order
     order = [v for v in range(len(weights)) if adjacency[v]]
-    bound = _suffix_bounds(weights, adjacency, order, _subset_lengths(weights, adjacency))
+    bound = _suffix_bounds(weights, adjacency, order, _component_lengths(weights, adjacency))
     words, total = solve_ri_weights(weights, adjacency)
     assert bound[0] == total and bound[-1] == 0
     for i in range(len(order)):

@@ -7,6 +7,8 @@ Core claims:
       with the point's own rate
     - ``verify_ri`` rejects a protocol with one word lengthened and one with
       two neighbors' words made prefix-related
+    - with a raised cap, sparse instances of 24 and 40 symbols solve as fast
+      as their largest component allows and keep the old search's protocol
 """
 
 import random
@@ -15,6 +17,7 @@ from math import lcm
 
 import pytest
 
+from conftest import oracle_solve_ri_weights
 from test_pinned_outputs import _encoder_si_triple, _random_problem
 from zdsi.errors import InfeasibleProtocol, InvalidArgument, SuboptimalProtocol, TooLarge
 from zdsi.fixtures import c6, fully_connected_example, pentagon, split_cell_channel
@@ -28,7 +31,13 @@ from zdsi.probability import (
     typewriter,
 )
 from zdsi.quantizers import encoder_si_points, rd_points
-from zdsi.ri_codes import codewords_conflict, solve_ri, solve_ri_weights, verify_ri
+from zdsi.ri_codes import (
+    _component_lengths,
+    codewords_conflict,
+    solve_ri,
+    solve_ri_weights,
+    verify_ri,
+)
 
 
 def test_typewriter9_hard_partition_keeps_its_protocol():
@@ -121,6 +130,37 @@ def test_verify_ri_checks_its_arguments():
         verify_ri(weights, adjacency, ("2",) + words[1:])
     with pytest.raises(InvalidArgument, match="non-positive weight"):
         verify_ri([0] + weights[1:], adjacency, words)
-    # the DP table has 2^n entries, so the checker keeps the solver's cap
-    with pytest.raises(TooLarge, match="exactness cap 4"):
-        verify_ri(weights, adjacency, words, max_symbols=4)
+    # the checker keeps the solver's default cap
+    weights, adjacency = [1] * 11, _ring(11)
+    words, _ = solve_ri_weights(weights, adjacency, max_symbols=11)
+    with pytest.raises(TooLarge, match="11 supported symbols exceeds the exactness cap 10"):
+        verify_ri(weights, adjacency, words)
+
+
+def _sparse_instances():
+    """Raised-cap instances whose components are small: 12 disjoint pairs,
+    and a 5-ring plus two pairs among 40 symbols, 31 of them isolated."""
+    rng = random.Random(20031)
+    pairs = [1 << (v ^ 1) for v in range(24)]
+    few = [0] * 40
+    ring = [3, 11, 17, 26, 38]
+    for k, v in enumerate(ring):
+        few[v] |= 1 << ring[k - 1] | 1 << ring[(k + 1) % 5]
+    for a, b in ((0, 21), (5, 33)):
+        few[a] |= 1 << b
+        few[b] |= 1 << a
+    return [
+        ([rng.randint(1, 30) for _ in range(24)], pairs),
+        ([rng.randint(1, 30) for _ in range(40)], few),
+    ]
+
+
+@pytest.mark.parametrize("weights,adjacency", _sparse_instances())
+def test_raised_cap_sparse_instances_solve_per_component(weights, adjacency):
+    # one table over all symbols would hold 2^24 or 2^40 entries
+    n = len(weights)
+    assert max(len(table) for _, table in _component_lengths(weights, adjacency)) <= 1 << 5
+    words, total = solve_ri_weights(weights, adjacency, max_symbols=n)
+    assert (words, total) == oracle_solve_ri_weights(weights, adjacency, max_symbols=n)
+    assert total == sum(weights[v] * len(words[v]) for v in range(n))
+    assert all(words[v] == "" for v in range(n) if not adjacency[v])
