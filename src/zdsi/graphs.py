@@ -1,10 +1,13 @@
 """Confusability graphs, exact chromatic numbers, and coloring extraction.
 
 Two source symbols are confusable when some side-information symbol has
-positive joint probability with both; the characteristic graph collects those
-pairs as edges.  Chromatic numbers are computed exactly by branch-and-bound
-backtracking (greedy upper bound, greedy clique lower bound) with a hard cap
-of 20 vertices so the exactness contract stays honest.
+positive joint probability with both, i.e. when their SI supports meet; the
+characteristic graph collects those pairs as edges.  ``_neighbor_masks`` is
+the one place that rule is written, for single symbols, for the cells of
+``induced_graph`` and for the quantizer cloud's RI instances.  Chromatic
+numbers are computed exactly by branch-and-bound backtracking (greedy upper
+bound, greedy clique lower bound) with a hard cap of 20 vertices so the
+exactness contract stays honest.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InfeasibleProtocol, InvalidArgument, TooLarge
-from .probability import Alphabet, JointPMF, aggregate_rows
+from .probability import Alphabet, JointPMF, cell_labels
 
 CHROMATIC_CAP = 20
 
@@ -60,32 +63,35 @@ class Coloring:
             raise InvalidArgument("colors must be exactly 0..count-1, all used")
 
 
-def _graph(vertices: Alphabet, pairs) -> CharacteristicGraph:
-    edges = frozenset(
-        (min(u, v), max(u, v)) for u, v in pairs if u != v
-    )
+def _neighbor_masks(si: list[int]) -> tuple[int, ...]:
+    """Neighbor bitmask per symbol, given each symbol's SI-support bitmask:
+    two symbols are confusable iff their SI supports meet."""
+    return tuple(sum(1 << b for b, other in enumerate(si) if b != a and other & mask) for a, mask in enumerate(si))
+
+
+def _graph(vertices: Alphabet, pmf: JointPMF, members) -> CharacteristicGraph:
+    """Graph on the cells ``members`` (lists of source rows), each cell's SI
+    support being the union of its members'."""
+    si = [sum(1 << y for y in range(pmf.ncols) if any(pmf.probs[i][y] > 0 for i in ms)) for ms in members]
+    adjacency = _neighbor_masks(si)
+    edges = frozenset((u, v) for u, mask in enumerate(adjacency) for v in range(u + 1, len(si)) if mask >> v & 1)
     return CharacteristicGraph(vertices, edges)
 
 
 def build_characteristic_graph(pmf: JointPMF) -> CharacteristicGraph:
     """Edge (x, x') iff some y has P(x,y) > 0 and P(x',y) > 0."""
-    pairs = []
-    for j in range(pmf.ncols):
-        support = [i for i in range(pmf.nrows) if pmf.probs[i][j] > 0]
-        for a in range(len(support)):
-            for b in range(a + 1, len(support)):
-                pairs.append((support[a], support[b]))
-    return _graph(pmf.source, pairs)
+    return _graph(pmf.source, pmf, [(x,) for x in range(pmf.nrows)])
 
 
 def induced_graph(pmf: JointPMF, partition) -> CharacteristicGraph:
     """Characteristic graph of the cell index under a source partition.
 
     ``partition`` is either a Partition (anything with a ``cells`` attribute)
-    or the cell-index sequence itself.
+    or the cell-index sequence itself, cell indices contiguous from 0.
     """
     cells = getattr(partition, "cells", partition)
-    return build_characteristic_graph(aggregate_rows(pmf, cells))
+    members = [[i for i, c in enumerate(cells) if c == z] for z in range(max(cells) + 1)]
+    return _graph(Alphabet("Z", cell_labels(pmf.source, members)), pmf, members)
 
 
 def is_complete(g: CharacteristicGraph) -> bool:

@@ -3,27 +3,30 @@
 A scalar encoder is a partition of the source alphabet; its rate is the
 optimal RI length of the induced (cell, side information) joint, and its
 distortion is that of the Bayes decoder attached to each (cell, y) pair.
-``decoded_partitions`` is the one routine that merges and decodes a cloud.
-It merges cells in integers and hands each partition's RI instance on as
-integer weights and neighbor bitmasks; the causal variant takes H(cell | Y)
-of the same joints, and the encoder-side-information variant partitions the
-product alphabet.  ``rd_points`` adds the RI rate: it calls the kernel
-``solve_ri_weights`` once per distinct instance of the cloud, so partitions
-that induce the same weighted graph share one search.  ``multiterminal``
-builds both sides of every pair with it.  The achievable tradeoff is the
-lower convex envelope of the finite point cloud.
+Both depend only on each cell's merged row, so a cloud merges each distinct
+cell once, in integers, keyed by its member set, into its SI support and its
+Bayes reproduction and integer cost per y.  ``decoded_partitions`` builds
+every partition, and its RI instance as integer weights and neighbor
+bitmasks, from those cells; ``optimal_decoder`` reads the same cells.  The
+causal variant takes H(cell | Y) of the same joints, and the
+encoder-side-information variant partitions the product alphabet.
+``rd_points`` adds the RI rate: it calls the kernel ``solve_ri_weights``
+once per distinct instance of the cloud, so partitions that induce the same
+weighted graph share one search.  ``multiterminal`` builds both sides of
+every pair with it.  The achievable tradeoff is the lower convex envelope of
+the finite point cloud.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, cached_property, partial
 from math import gcd, lcm
-from operator import or_
 from typing import Iterator, NamedTuple
 
 from .errors import BelowMinimumDistortion, EmptyInput, InvalidArgument, TooLarge
+from .graphs import _neighbor_masks
 from .probability import (
     Alphabet,
     DistortionMatrix,
@@ -62,6 +65,11 @@ class Partition:
         for i, c in enumerate(self.cells):
             out[c].append(i)
         return out
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[int, ...], ...]:
+        """``blocks()`` as tuples, worked out once per partition."""
+        return tuple(map(tuple, self.blocks()))
 
     def to_string(self) -> str:
         return "-".join(str(c) for c in self.cells)
@@ -140,65 +148,59 @@ def enumerate_partitions(alphabet) -> Iterator[Partition]:
             return
 
 
-@dataclass(frozen=True)
-class DecoderCosts:
-    """Integer Bayes-decoder costs of one (pmf, distortion) pair.
+class _Cell(NamedTuple):
+    """A merged cell; ``decode`` holds (y, Bayes reproduction, its integer cost)."""
 
-    ``cost[x][y][r]`` is P(x, y) * d(x, r) times ``scale``, the product of the
-    lcms of the pmf's and the distortion's denominators, and ``mass[x][y]``
-    says whether P(x, y) > 0.  Built once per cloud, shared by every
-    partition's decoder.
-    """
-
-    scale: int
-    mass: tuple[tuple[bool, ...], ...]
-    cost: tuple[tuple[tuple[int, ...], ...], ...]
+    row: tuple[int, ...]
+    mass: int
+    si: int
+    decode: tuple[tuple[int, int, int], ...]
 
 
-def decoder_costs(pmf: JointPMF, d: DistortionMatrix) -> DecoderCosts:
-    """The integer cost table of ``pmf`` under ``d``; see DecoderCosts."""
-    p_scale = lcm(*(v.denominator for row in pmf.probs for v in row))
-    d_scale = lcm(*(v.denominator for row in d.values for v in row))
-    cost = tuple(
-        tuple(
-            tuple(
-                p.numerator * (p_scale // p.denominator) * v.numerator * (d_scale // v.denominator)
-                for v in d.values[x]
-            )
-            for p in row
-        )
-        for x, row in enumerate(pmf.probs)
-    )
-    mass = tuple(tuple(p > 0 for p in row) for row in pmf.probs)
-    return DecoderCosts(p_scale * d_scale, mass, cost)
+class _Cells(dict):
+    """A cloud's cell routine: ``cells[members]`` is the cell of a member
+    tuple, merged on first use.  Masses are integers over ``unit``, the pmf's
+    lcm, and costs over ``scale``, ``unit`` times the distortion's lcm."""
+
+    def __init__(self, pmf: JointPMF, d: DistortionMatrix) -> None:
+        self.unit = lcm(*(v.denominator for row in pmf.probs for v in row))
+        d_unit = lcm(*(v.denominator for row in d.values for v in row))
+        self.scale = self.unit * d_unit
+        self.rows = [tuple(v.numerator * (self.unit // v.denominator) for v in row) for row in pmf.probs]
+        self.dist = [tuple(v.numerator * (d_unit // v.denominator) for v in row) for row in d.values]
+
+    def __missing__(self, members: tuple[int, ...]) -> _Cell:
+        """r costs sum_x rows[x][y] * dist[x][r] at y; ties go to the lowest r."""
+        rows, dist = self.rows, self.dist
+        row = tuple(map(sum, zip(*(rows[x] for x in members))))
+        reps = range(len(dist[0]))
+        costs = {y: [sum(rows[x][y] * dist[x][r] for x in members) for r in reps] for y, p in enumerate(row) if p}
+        decode = tuple((y, c.index(min(c)), min(c)) for y, c in costs.items())
+        cell = self[members] = _Cell(row, sum(row), sum(1 << y for y in costs), decode)
+        return cell
 
 
 def optimal_decoder(
     pmf: JointPMF,
     partition: Partition,
     d: DistortionMatrix,
-    costs: DecoderCosts | None = None,
+    cells: _Cells | None = None,
 ) -> tuple[DecoderRule, Fraction]:
     """Bayes decoder per (cell, y) pair with exact expected distortion.
 
     The reproduction minimizing the posterior expected distortion is chosen;
-    ties break toward the lowest reproduction index.  ``costs`` is
-    ``decoder_costs(pmf, d)``, computed here when not given.
+    ties break toward the lowest reproduction index.  ``cells`` is the
+    cloud's cell routine, built here when not given.
     """
-    if costs is None:
-        costs = decoder_costs(pmf, d)
+    if cells is None:
+        cells = _Cells(pmf, d)
     table: dict[tuple[int, int], int] = {}
     total = 0
-    for z, members in enumerate(partition.blocks()):
-        for y in range(pmf.ncols):
-            rows = [costs.cost[x][y] for x in members if costs.mass[x][y]]
-            if not rows:
-                continue
-            cell = rows[0] if len(rows) == 1 else [sum(col) for col in zip(*rows)]
-            best = min(cell)
-            table[(z, y)] = cell.index(best)
-            total += best
-    return DecoderRule(table), Fraction(total, costs.scale)
+    for z, members in enumerate(partition._blocks):
+        for y, r, cost in cells[members].decode:
+            table[(z, y)] = r
+            total += cost
+    return DecoderRule(table), Fraction(total, cells.scale)
 
 
 class RIInstance(NamedTuple):
@@ -224,33 +226,22 @@ def decoded_partitions(
     """Each partition of the source with its induced (cell, y) joint, Bayes
     decoder, distortion and RI instance, in ``enumerate_partitions`` order.
 
-    The pmf is scaled once to integers over the lcm of its denominators; a
-    cell's row is the int sum of its members' rows and, the entries being
-    nonnegative, its SI support the union of theirs.  The induced joint
-    holds one ``Fraction(n, scale)`` per entry, and one integer cost table
-    serves every decoder.
+    Every cell is merged once per cloud, in integers, by the cell routine
+    that ``optimal_decoder`` also reads.  The induced joint holds one
+    ``Fraction(n, unit)`` per entry, and the RI adjacency comes from the
+    cells' SI bitmasks through ``graphs``' confusability rule.
     """
-    costs = decoder_costs(pmf, d)
-    scale = lcm(*(v.denominator for row in pmf.probs for v in row))
-    rows = [tuple(v.numerator * (scale // v.denominator) for v in row) for row in pmf.probs]
-    mass = [sum(row) for row in rows]
-    si_mask = [sum(1 << y for y, v in enumerate(row) if v > 0) for row in rows]
-    ratio = cache(partial(Fraction, denominator=scale))  # each Fraction(n, scale) built once
+    cells = _Cells(pmf, d)
+    ratio = cache(partial(Fraction, denominator=cells.unit))  # each Fraction(n, unit) built once
     for partition in enumerate_partitions(pmf.source):
-        decoder, distortion = optimal_decoder(pmf, partition, d, costs)
-        blocks = partition.blocks()
-        cell_rows = (rows[ms[0]] if len(ms) == 1 else map(sum, zip(*(rows[i] for i in ms))) for ms in blocks)
-        probs = tuple(tuple(map(ratio, row)) for row in cell_rows)
-        induced = JointPMF(Alphabet("Z", cell_labels(pmf.source, blocks)), pmf.si, probs)
-        cell_mass = [sum(mass[i] for i in ms) for ms in blocks]
-        kept = tuple(z for z, m in enumerate(cell_mass) if m > 0)
-        unit = gcd(*(cell_mass[z] for z in kept)) or 1  # 1 when no cell has mass
-        masks = [reduce(or_, (si_mask[i] for i in blocks[z])) for z in kept]
-        adjacency = tuple(
-            sum(1 << b for b, other in enumerate(masks) if b != a and other & mask)
-            for a, mask in enumerate(masks)
-        )
-        ri = RIInstance(tuple(cell_mass[z] // unit for z in kept), adjacency, kept, unit, scale)
+        decoder, distortion = optimal_decoder(pmf, partition, d, cells)
+        merged = [cells[members] for members in partition._blocks]
+        probs = tuple(tuple(map(ratio, c.row)) for c in merged)
+        induced = JointPMF(Alphabet("Z", cell_labels(pmf.source, partition._blocks)), pmf.si, probs)
+        kept = tuple(z for z, c in enumerate(merged) if c.mass)
+        unit = gcd(*(merged[z].mass for z in kept)) or 1  # 1 when no cell has mass
+        adjacency = _neighbor_masks([merged[z].si for z in kept])
+        ri = RIInstance(tuple(merged[z].mass // unit for z in kept), adjacency, kept, unit, cells.unit)
         yield partition, induced, decoder, distortion, ri
 
 

@@ -70,11 +70,15 @@ def _sampler(prior) -> InverseCDF:
     return InverseCDF(weights / weights.sum())
 
 
-def _guard_codebook(count: int, n: int) -> None:
+def _codebook_size(n: int, r: float) -> int:
+    """ceil(2^(nR)) entries, checked against both caps before it is formed."""
+    if math.isnan(r) or r < 0:
+        raise DomainError(f"need codebook rate R >= 0, got R={r}")
     if n > BLOCK_CAP:
         raise TooLarge(f"n={n} exceeds the block cap {BLOCK_CAP}")
-    if count > CODEBOOK_CAP:
-        raise TooLarge(f"codebook of {count} entries exceeds the cap {CODEBOOK_CAP}")
+    if n * r > math.log2(CODEBOOK_CAP):
+        raise TooLarge(f"codebook of 2^{n * r:g} entries exceeds the cap {CODEBOOK_CAP}")
+    return math.ceil(2.0 ** (n * r))
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,7 @@ def simulate_prefix_uniqueness(
         raise DomainError("trials must be >= 1")
     if not 0 < alpha <= 1:
         raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
-    count = math.ceil(2.0 ** (n * r))
-    _guard_codebook(count, n)
+    count = _codebook_size(n, r)
     prefix_len = max(1, math.ceil(n * alpha))
     draw = _sampler(prior)
     block = min(trials, max(1, PREFIX_BLOCK_UNIFORMS // ((count + 1) * prefix_len)))
@@ -356,8 +359,7 @@ def simulate_scheme(
             min(1.0, threshold_alpha(codebook_rate, prior_entropy) + 0.1)
             if prior_entropy > 0 else 1.0
         )
-    count = math.ceil(2.0 ** (n * codebook_rate))
-    _guard_codebook(count, n)
+    count = _codebook_size(n, codebook_rate)
     prefix_len = min(n, max(1, math.ceil(n * alpha)))
 
     nrep = len(d.reproduction)

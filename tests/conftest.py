@@ -89,6 +89,24 @@ def oracle_confusability(pmf: JointPMF) -> list[list[bool]]:
     return conf
 
 
+def oracle_characteristic_graph(pmf: JointPMF) -> tuple[Alphabet, frozenset]:
+    """Vertices and edges by a column scan: every pair of rows with mass in
+    one SI column is an edge."""
+    pairs = set()
+    for j in range(pmf.ncols):
+        support = [i for i in range(pmf.nrows) if pmf.probs[i][j] > 0]
+        for a in range(len(support)):
+            for b in range(a + 1, len(support)):
+                pairs.add((support[a], support[b]))
+    return pmf.source, frozenset(pairs)
+
+
+def oracle_induced_graph(pmf: JointPMF, cells) -> tuple[Alphabet, frozenset]:
+    """The column scan of the joint that ``aggregate_rows`` merges with
+    Fraction sums."""
+    return oracle_characteristic_graph(aggregate_rows(pmf, cells))
+
+
 def _conflict(a: str, b: str) -> bool:
     return a.startswith(b) or b.startswith(a)
 
@@ -299,7 +317,7 @@ def oracle_rd_points(pmf: JointPMF, dmat) -> list[tuple]:
 
     Per partition: ``aggregate_rows`` merges the rows with Fraction sums,
     ``solve_ri`` derives the support, weights and graph from that joint, and
-    ``optimal_decoder`` builds its own cost table.  Returns (partition,
+    ``optimal_decoder`` merges its own cells.  Returns (partition,
     induced, decoder, distortion, protocol) tuples in enumeration order.
     """
     out = []

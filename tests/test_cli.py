@@ -301,3 +301,19 @@ def test_readme_command_lines_parse():
 def test_pc_estimate_rejects_alpha_outside_unit_interval(alpha, capsys):
     assert dispatch(["pc-estimate", "--alpha", alpha, "--trials", "5"]) == 1
     assert capsys.readouterr().err == f"error: need 0 < alpha <= 1, got {float(alpha)}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["pc-estimate", "--R", "100"], "error: codebook of 2^2400 entries exceeds the cap 1048576"),
+    (["pc-estimate", "--R", "inf"], "error: codebook of 2^inf entries exceeds the cap 1048576"),
+    (["pc-estimate", "--R", "nan"], "error: need codebook rate R >= 0, got R=nan"),
+    (["pc-estimate", "--R", "-1"], "error: need codebook rate R >= 0, got R=-1.0"),
+    (["simulate-seq", "--example", "pentagon", "--epsilon", "100"], "error: codebook of 2^"),
+    (["simulate-seq", "--example", "pentagon", "--epsilon", "nan"], "error: need codebook rate R >= 0"),
+    (["simulate-seq", "--example", "pentagon", "--n", "100000"], "error: n=100000 exceeds the block cap 16384"),
+])
+def test_codebook_overflow_is_one_error_line(argv, message, capsys):
+    # the caps are checked before 2^(nR) is formed, which overflows binary64
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1

@@ -3,8 +3,9 @@
 ``solve_ri`` and the subset DP behind it are compared with the exhaustive RI
 search, the RI kernel ``solve_ri_weights`` with the branch-and-bound it
 replaced, ``optimal_decoder`` with the brute force over all decoder rules,
-the integer cloud of ``rd_points`` with the per-partition Fraction route, and
-the integer simplex behind ``is_achievable`` with a Fraction-tableau simplex,
+the integer cloud of ``rd_points`` with the per-partition Fraction route, the
+SI-bitmask graphs with a column scan of the Fraction-merged joints, and the
+integer simplex behind ``is_achievable`` with a Fraction-tableau simplex,
 all from ``conftest``.
 The examples are derandomized so every run checks the same instances.
 """
@@ -19,13 +20,15 @@ from hypothesis import strategies as st
 from conftest import (
     _conflict,
     oracle_best_decoder_distortion,
+    oracle_characteristic_graph,
     oracle_confusability,
     oracle_feasible_mixture,
+    oracle_induced_graph,
     oracle_optimal_ri_length,
     oracle_rd_points,
     oracle_solve_ri_weights,
 )
-from zdsi.graphs import build_characteristic_graph
+from zdsi.graphs import build_characteristic_graph, induced_graph
 from zdsi.multiterminal import _feasible_mixture
 from zdsi.probability import (
     Alphabet,
@@ -235,6 +238,18 @@ def test_rd_points_matches_fraction_route(problem):
         assert point.protocol.average_length == protocol.average_length
         assert len(point.protocol.codewords) == induced.nrows
         assert point.dmat is d
+
+
+@settings(max_examples=60, **EXACT)
+@given(cloud_problems())
+@example(_collision_problem())
+def test_graphs_match_column_scan(problem):
+    pmf, _ = problem
+    g = build_characteristic_graph(pmf)
+    assert (g.vertices, g.edges) == oracle_characteristic_graph(pmf)
+    for partition in enumerate_partitions(pmf.source):
+        g = induced_graph(pmf, partition)
+        assert (g.vertices, g.edges) == oracle_induced_graph(pmf, partition.cells)
 
 
 # few distinct small coordinates: repeated values, zero right-hand sides and

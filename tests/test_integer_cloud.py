@@ -11,6 +11,8 @@ Core claims:
       route and from the command line
     - the kernel itself checks the cap and solves edge-free instances with
       empty words
+    - each distinct cell is merged once per cloud, and ``optimal_decoder``
+      gives the same decoder whether it reads the cloud's cells or its own
 """
 
 import time
@@ -166,3 +168,57 @@ def test_kernel_pentagon_in_weight_units():
     ring = [(1 << (v - 1) % 5) | (1 << (v + 1) % 5) for v in range(5)]
     words, best = solve_ri_weights([1] * 5, ring)
     assert best == 7 and sum(map(len, words)) == 7
+
+
+@pytest.fixture
+def merges(monkeypatch):
+    """Record the member sets the cloud's cell routine merges."""
+    merged = []
+    plain = quantizers._Cells.__missing__
+
+    def counted(self, members):
+        merged.append(members)
+        return plain(self, members)
+
+    monkeypatch.setattr(quantizers._Cells, "__missing__", counted)
+    return merged
+
+
+def _zero_row_joint():
+    """typewriter(5) with a sixth source row of no mass."""
+    pmf = typewriter(5)
+    return JointPMF(integer_alphabet("X", 6), pmf.si, pmf.probs + ((Fraction(0),) * 5,))
+
+
+@pytest.mark.parametrize("pmf", [typewriter(6), _zero_row_joint()], ids=["typewriter6", "zero-row"])
+def test_each_cell_is_merged_once_per_cloud(merges, pmf):
+    d = hamming(pmf.source)
+    assert len(quantizers.rd_points(pmf, d)) == 203
+    # every nonempty subset of the 6 symbols is a cell of some partition
+    assert len(merges) == len(set(merges)) == 2**6 - 1
+    # the memo lives for one cloud only
+    quantizers.rd_points(pmf, d)
+    assert len(merges) == 2 * (2**6 - 1)
+
+
+def _rational_problem(weights):
+    """``_region_joint``'s pmf under a rational distortion on X with ties."""
+    pmf = _region_joint(weights)[0]
+    rows = [[Fraction((x + k) % 3, 2) for k in range(2)] for x in range(pmf.nrows)]
+    return pmf, distortion_matrix(pmf.source, integer_alphabet("R", 2), rows)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: split_cell_channel("1/4"),
+        lambda: (_zero_row_joint(), hamming(_zero_row_joint().source)),
+        lambda: _rational_problem([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 0, 3]]),
+    ],
+    ids=["split-cell", "zero-row", "rational-distortion"],
+)
+def test_optimal_decoder_reads_the_same_cells_as_the_cloud(problem):
+    pmf, d = problem()
+    cells = quantizers._Cells(pmf, d)
+    for partition in quantizers.enumerate_partitions(pmf.source):
+        assert quantizers.optimal_decoder(pmf, partition, d, cells) == quantizers.optimal_decoder(pmf, partition, d)
