@@ -13,6 +13,7 @@ from .errors import (
     EmptyInput,
     InfeasibleProtocol,
     InvalidArgument,
+    InvalidWitness,
     NegativeEntry,
     NoConvergence,
     ParseError,
@@ -41,6 +42,7 @@ from .multiterminal import (
     is_achievable,
     pareto_surface,
     simultaneous_points,
+    verify_witness,
 )
 from .probability import (
     Alphabet,

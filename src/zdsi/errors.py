@@ -35,6 +35,10 @@ class SuboptimalProtocol(ZdsiError):
     """Feasible codeword assignment whose length is not the optimum; names both."""
 
 
+class InvalidWitness(ZdsiError):
+    """A time-sharing witness fails an exact check; names the condition."""
+
+
 class EmptyInput(ZdsiError):
     """An operation that needs at least one element received none."""
 

@@ -12,9 +12,11 @@ the YX point's Y rate and the XY point's X rate.
 The region is the dominance-and-convexity closure of both clouds; membership
 is an exact rational linear feasibility problem whose basic solutions
 automatically give time-sharing witnesses with support at most 5 (one weight
-per tableau row).  The phase-1 simplex is fraction-free: rows are lists of
-ints over one denominator each (as in Bareiss elimination), holding exactly
-the values of a Fraction tableau, so Bland's rule makes the same pivots.
+per tableau row), which ``verify_witness`` checks.  The phase-1 simplex is
+revised and fraction-free: it keeps only the basis inverse and the rhs, 6
+columns of ints over one denominator per row, and prices the base points'
+integer-scaled columns on demand.  Every value it compares is the value of
+the full Fraction tableau, so Bland's rule makes the same pivots.
 """
 
 from __future__ import annotations
@@ -23,18 +25,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError
+from .errors import DomainError, InvalidArgument, InvalidWitness
 from .probability import (
     DistortionMatrix,
     JointPMF,
     ZERO,
     aggregate_rows,
     format_rational,
-    marginal_si,
     transpose,
 )
 from .quantizers import DecoderRule, Partition, _rd_points, enumerate_partitions
-from .ri_codes import huffman
+from .ri_codes import huffman_codes
 
 ORDERS = ("YX", "XY", "SIM")
 
@@ -98,11 +99,16 @@ def build_region(pmf: JointPMF, d_x: DistortionMatrix, d_y: DistortionMatrix) ->
     All the clouds share one RI memo, so each distinct RI instance of the
     region is solved once per call.
     """
+    parts_x = list(enumerate_partitions(pmf.source))
+    parts_y = list(enumerate_partitions(pmf.si))
     by_y = transpose(pmf)
-    cols = [transpose(aggregate_rows(by_y, py.cells)) for py in enumerate_partitions(pmf.si)]
-    rows = [transpose(aggregate_rows(pmf, px.cells)) for px in enumerate_partitions(pmf.source)]
-    len_v = [_huffman_length(marginal_si(joint)) for joint in cols]
-    len_u = [_huffman_length(marginal_si(joint)) for joint in rows]
+    cols = [transpose(aggregate_rows(by_y, py.cells)) for py in parts_y]
+    rows = [transpose(aggregate_rows(pmf, px.cells)) for px in parts_x]
+    unit = lcm(*(v.denominator for row in pmf.probs for v in row))
+    masses = [[v.numerator * (unit // v.denominator) for v in row] for row in pmf.probs]
+    x_mass, y_mass = [sum(row) for row in masses], [sum(col) for col in zip(*masses)]
+    len_v = [_huffman_length(y_mass, py, unit) for py in parts_y]
+    len_u = [_huffman_length(x_mass, px, unit) for px in parts_x]
     solved: dict = {}
     x_side = [_rd_points(joint, d_x, solved) for joint in cols]
     yx, xy = [], []
@@ -134,9 +140,21 @@ def simultaneous_points(region: MTRegion) -> list[MTPoint]:
     ]
 
 
-def _huffman_length(marginal) -> Fraction:
-    """Huffman length of a marginal's positive part (0 for a single symbol)."""
-    return huffman([w for w in marginal if w > 0])[1]
+def _huffman_length(masses: list[int], partition: Partition, unit: int) -> Fraction:
+    """Huffman length of the cells' positive masses, ints over ``unit``
+    (0 for a single cell).  Proportional weights tie exactly when the
+    probabilities do, so the code is the one of the normalized marginal."""
+    cells = [m for m in (sum(masses[s] for s in block) for block in partition._blocks) if m > 0]
+    return Fraction(sum(m * len(w) for m, w in zip(cells, huffman_codes(cells))), unit)
+
+
+def _rational(value) -> Fraction:
+    """A target coordinate as a Fraction; NaN, an infinity or a non-number
+    is an InvalidArgument."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgument(f"target coordinate {value!r} is not a finite rational") from None
 
 
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
@@ -148,90 +166,106 @@ def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
 def _feasible_mixture(vectors, target) -> list[Fraction] | None:
     """Exact phase-1 simplex: weights lambda >= 0, sum 1, mix <= target.
 
-    Fraction-free: each tableau row, and the objective row, is a list of
-    ints over one positive denominator, reduced by their gcd after every
-    update, so it holds exactly the values of a Fraction tableau.  Bland's
-    rule (first negative reduced cost enters; ratio ties leave the lower
-    basis index) guarantees termination; a basic feasible solution has at
-    most 5 nonzero weights (the tableau has 5 rows).
+    Row k < 4 reads sum_j lambda_j v_j[k] + s_k = target[k] and row 4
+    sum_j lambda_j = 1; a row with a negative rhs is negated, and each row
+    gets an artificial.  Columns in Bland order: the n lambdas, the 4
+    slacks, the 5 artificials.  Bland's rule (first negative reduced cost
+    enters; ratio ties leave the lower basis index) guarantees termination;
+    a basic feasible solution has at most 5 nonzero weights (5 rows).
+
+    Revised and fraction-free.  Each axis is scaled to integers once, by the
+    lcm of its coordinates' and the target's denominators.  Of the tableau
+    only 6 columns are kept: per row, the basis inverse of the scaled system
+    (the artificial columns, axis i's divided by its scale) and the rhs, as
+    ints over one positive denominator reduced by their gcd after every
+    update; the objective row is kept the same way, its inverse part being
+    the negated prices.  A column's reduced cost and entries are integer dot
+    products of those rows with its scaled column, formed when needed: they
+    are exactly the values of the full Fraction tableau, so Bland's rule
+    makes the same pivots and the weights are the same.
     """
     n = len(vectors)
-    rows = 5
-    # columns: n lambdas, 4 slacks, 5 artificials, rhs
-    art0, rhs_col = n + 4, n + 9
-    tableau: list[list[int]] = []
-    dens: list[int] = []
-    for k in range(4):
-        values = [Fraction(v[k]) for v in vectors] + [Fraction(target[k])]
-        den = lcm(*(v.denominator for v in values))
-        scaled = [v.numerator * (den // v.denominator) for v in values]
-        tableau.append(scaled[:n] + [den if j == k else 0 for j in range(4)] + [0] * 5 + scaled[n:])
-        dens.append(den)
-    tableau.append([1] * n + [0] * 9 + [1])
-    dens.append(1)
-    for r in range(rows):
-        if tableau[r][rhs_col] < 0:
-            tableau[r] = [-v for v in tableau[r]]
-        tableau[r][art0 + r] = dens[r]
-    basis = [art0 + r for r in range(rows)]
-    # phase-1 objective: minimize sum of artificials
-    obj_den = lcm(*dens)
-    obj = [0] * (rhs_col + 1)
-    for row, den in zip(tableau, dens):
-        f = obj_den // den
-        obj = [a - f * b for a, b in zip(obj, row)]
-    for r in range(rows):
-        obj[art0 + r] = 0
+    target = [_rational(t) for t in target]
+    if n == 0:
+        return None  # no weights sum to 1
+    axes, scales, rhs = [], [], []
+    for t, axis in zip(target, zip(*vectors)):
+        ratios = [c.as_integer_ratio() for c in axis]
+        scale = lcm(t.denominator, *{d for _, d in ratios})
+        axes.append([a * (scale // d) for a, d in ratios])
+        scales.append(scale)
+        rhs.append(t.numerator * (scale // t.denominator))
+    points = list(zip(*axes))  # scaled columns of the lambdas, row 4's 1 left out
+    sign = [1 if b >= 0 else -1 for b in rhs] + [1]
+    scales.append(1)
+    # row r: inverse of the scaled basis (initially e_r over its scale), then rhs
+    rows = [[int(i == r) for i in range(5)] + [abs(b)] for r, b in enumerate(rhs + [1])]
+    dens = scales[:]
+    obj_den = lcm(*scales)
+    # phase-1 objective, the sum of the artificials: minus the sum of the rows
+    obj = [-(obj_den // s) for s in scales] + [-sum(row[5] * (obj_den // s) for row, s in zip(rows, scales))]
     obj, obj_den = _reduce(obj, obj_den)
+    basis = [n + 4 + r for r in range(5)]
 
     while True:
-        enter = next((j for j in range(art0) if obj[j] < 0), None)
-        if enter is None:
-            break
-        # ratios rhs / coef compared by cross-multiplication (coef > 0)
+        # lambda_j's reduced cost is w . (its scaled coordinates, 1), over obj_den
+        w0, w1, w2, w3, w4 = (y * s for y, s in zip(obj, sign))
+        enter = next(
+            (j for j, (a, b, c, d) in enumerate(points) if w0 * a + w1 * b + w2 * c + w3 * d + w4 < 0),
+            None,
+        )
+        if enter is not None:
+            column = [s * a for s, a in zip(sign, points[enter])] + [1]
+        else:
+            k = next((k for k in range(4) if obj[k] * sign[k] < 0), None)
+            if k is None:
+                break
+            enter = n + k
+            column = [sign[k] * scales[k] if i == k else 0 for i in range(5)]
+        # zip stops at the column's 5 entries, so the rhs stays out of the dot products
+        entries = [sum(g * a for g, a in zip(row, column)) for row in rows]
+        # ratios rhs / entry compared by cross-multiplication (entry > 0)
         leave = None
-        for r in range(rows):
-            coef = tableau[r][enter]
+        for r, coef in enumerate(entries):
             if coef > 0:
                 if leave is None:
                     leave = r
                     continue
-                here = tableau[r][rhs_col] * tableau[leave][enter]
-                best = tableau[leave][rhs_col] * coef
+                here = rows[r][5] * entries[leave]
+                best = rows[leave][5] * coef
                 if here < best or (here == best and basis[r] < basis[leave]):
                     leave = r
         if leave is None:
             return None  # cannot happen in phase 1; defensive
         # dividing the pivot row by its entry leaves the ints over that entry
-        pivot_row, pivot = _reduce(tableau[leave], tableau[leave][enter])
-        tableau[leave], dens[leave] = pivot_row, pivot
-        for r in range(rows):
-            f = tableau[r][enter]
+        pivot_row, pivot = _reduce(rows[leave], entries[leave])
+        rows[leave], dens[leave] = pivot_row, pivot
+        for r, f in enumerate(entries):
             if r != leave and f != 0:
-                tableau[r], dens[r] = _reduce(
-                    [a * pivot - f * b for a, b in zip(tableau[r], pivot_row)], dens[r] * pivot
+                rows[r], dens[r] = _reduce(
+                    [a * pivot - f * b for a, b in zip(rows[r], pivot_row)], dens[r] * pivot
                 )
-        f = obj[enter]
-        if f != 0:
-            obj, obj_den = _reduce([a * pivot - f * b for a, b in zip(obj, pivot_row)], obj_den * pivot)
+        f = sum(y * a for y, a in zip(obj, column))  # the entering reduced cost
+        obj, obj_den = _reduce([a * pivot - f * b for a, b in zip(obj, pivot_row)], obj_den * pivot)
         basis[leave] = enter
 
-    if obj[rhs_col] != 0:
+    if obj[5] != 0:
         return None
     weights = [ZERO] * n
     for r, b in enumerate(basis):
         if b < n:
-            weights[b] = Fraction(tableau[r][rhs_col], dens[r])
+            weights[b] = Fraction(rows[r][5], dens[r])
     return weights
 
 
 def is_achievable(region: MTRegion, target) -> AchievabilityResult:
     """Exact membership test with a Caratheodory witness of support <= 5.
 
-    target is a quadruple (Rx, Ry, Dx, Dy); achievable iff some convex
-    combination of base points is coordinate-wise <= target.
+    target is a quadruple (Rx, Ry, Dx, Dy) of rationals; achievable iff some
+    convex combination of base points is coordinate-wise <= target.  A
+    coordinate that is NaN, infinite or not a number raises InvalidArgument.
     """
-    target = tuple(Fraction(t) for t in target)
+    target = tuple(target)
     if len(target) != 4:
         raise DomainError(f"target needs 4 coordinates (Rx, Ry, Dx, Dy), got {len(target)}")
     vectors = [p.coords for p in region.points]
@@ -242,6 +276,36 @@ def is_achievable(region: MTRegion, target) -> AchievabilityResult:
         (w, region.points[i]) for i, w in enumerate(weights) if w > 0
     )
     return AchievabilityResult(True, witness)
+
+
+def verify_witness(region: MTRegion, target, result: AchievabilityResult) -> None:
+    """Check a "yes" answer of ``is_achievable`` exactly.
+
+    Raises InvalidWitness naming the first condition that fails: the result
+    carries a witness, of at most 5 weights, each > 0, summing to 1, on
+    points of ``region.points`` (by identity), whose mix is <= ``target`` on
+    every axis.  Cheap: linear in the witness, plus one pass over the region.
+    """
+    if not result.achievable or not result.witness:
+        raise InvalidWitness("the result has no witness")
+    witness = result.witness
+    if len(witness) > 5:
+        raise InvalidWitness(f"{len(witness)} weights, more than 5")
+    if any(w <= 0 for w, _ in witness):
+        raise InvalidWitness("a weight is not > 0")
+    total = sum(w for w, _ in witness)
+    if total != 1:
+        raise InvalidWitness(f"the weights sum to {format_rational(total)}, not 1")
+    members = {id(p) for p in region.points}
+    if any(id(p) not in members for _, p in witness):
+        raise InvalidWitness("a witness point is not one of the region's points")
+    target = [_rational(t) for t in target]
+    for k, (axis, t) in enumerate(zip(("Rx", "Ry", "Dx", "Dy"), target)):
+        mix = sum(w * p.coords[k] for w, p in witness)
+        if mix > t:
+            raise InvalidWitness(
+                f"the mix's {axis} {format_rational(mix)} exceeds the target's {format_rational(t)}"
+            )
 
 
 def pareto_surface(region: MTRegion) -> list[MTPoint]:

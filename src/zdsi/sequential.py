@@ -24,6 +24,7 @@ from .ri_codes import huffman_codes
 
 CODEBOOK_CAP = 1 << 20
 BLOCK_CAP = 1 << 14
+WORK_CAP = 1 << 30  # uniforms one Monte Carlo call may draw, over all its trials
 PREFIX_BLOCK_UNIFORMS = 1 << 16  # uniforms per block of prefix-uniqueness trials
 SCAN_UNIFORMS = 1 << 14  # uniforms per chunk of the typical-word scan
 DEFAULT_TYPICALITY_SLACK = 0.02
@@ -81,6 +82,12 @@ def _codebook_size(n: int, r: float) -> int:
     return math.ceil(2.0 ** (n * r))
 
 
+def _check_work(trials: int, per_trial: int) -> None:
+    """Refuse a call whose trials would draw more than WORK_CAP uniforms."""
+    if trials * per_trial > WORK_CAP:
+        raise TooLarge(f"{trials} trials of {per_trial} uniforms each exceed the work cap {WORK_CAP}")
+
+
 @dataclass(frozen=True)
 class PrefixUniquenessEstimate:
     estimate: float
@@ -111,6 +118,7 @@ def simulate_prefix_uniqueness(
         raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
     count = _codebook_size(n, r)
     prefix_len = max(1, math.ceil(n * alpha))
+    _check_work(trials, (count + 1) * prefix_len)
     draw = _sampler(prior)
     block = min(trials, max(1, PREFIX_BLOCK_UNIFORMS // ((count + 1) * prefix_len)))
     uniforms = np.empty((block, count + 1, prefix_len))  # per trial: reference, then book
@@ -360,6 +368,7 @@ def simulate_scheme(
             if prior_entropy > 0 else 1.0
         )
     count = _codebook_size(n, codebook_rate)
+    _check_work(trials, (count + 1) * n)
     prefix_len = min(n, max(1, math.ceil(n * alpha)))
 
     nrep = len(d.reproduction)

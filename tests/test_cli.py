@@ -7,6 +7,7 @@ Core claims:
 """
 
 import json
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -317,3 +318,18 @@ def test_codebook_overflow_is_one_error_line(argv, message, capsys):
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["pc-estimate", "--n", "80"], r"2000 trials of 41943080 uniforms each"),
+    (
+        ["simulate-seq", "--example", "mt-binary", "--D", "1/8", "--trials", "5000"],
+        r"5000 trials of \d+ uniforms each",
+    ),
+])
+def test_monte_carlo_work_over_the_cap_is_one_error_line(argv, message, capsys):
+    # pc-estimate --n 80 is a codebook of exactly the allowed 2^20 words,
+    # with 40 prefix symbols per word and 2000 trials
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {message} exceed the work cap 1073741824\n", err)

@@ -5,7 +5,8 @@ search, the RI kernel ``solve_ri_weights`` with the branch-and-bound it
 replaced, ``optimal_decoder`` with the brute force over all decoder rules,
 the integer cloud of ``rd_points`` with the per-partition Fraction route, the
 SI-bitmask graphs with a column scan of the Fraction-merged joints, and the
-integer simplex behind ``is_achievable`` with a Fraction-tableau simplex,
+integer simplex behind ``is_achievable`` with a Fraction-tableau simplex
+(on hypothesis regions of up to 10 columns and on one 150-column region),
 all from ``conftest``.
 The examples are derandomized so every run checks the same instances.
 """
@@ -13,6 +14,8 @@ The examples are derandomized so every run checks the same instances.
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,8 +31,9 @@ from conftest import (
     oracle_rd_points,
     oracle_solve_ri_weights,
 )
+from test_pinned_outputs import _region_problem, _region_targets
 from zdsi.graphs import build_characteristic_graph, induced_graph
-from zdsi.multiterminal import _feasible_mixture
+from zdsi.multiterminal import _feasible_mixture, build_region
 from zdsi.probability import (
     Alphabet,
     JointPMF,
@@ -284,3 +288,18 @@ def test_feasible_mixture_matches_fraction_tableau(data):
     # several targets per region: a Bland tie changes the weights only rarely
     for target in data.draw(st.lists(targets(vectors), min_size=10, max_size=10)):
         assert _feasible_mixture(vectors, target) == oracle_feasible_mixture(vectors, target)
+
+
+def test_feasible_mixture_matches_fraction_tableau_on_a_wide_region():
+    # the hypothesis regions have at most 10 columns; a 3x4 region has 150,
+    # so the reduced costs priced on demand are scanned far past the basis
+    rng = random.Random(2)
+    region = build_region(*_region_problem(rng, 3, 4))
+    vectors = [p.coords for p in region.points]
+    assert len(vectors) == 150
+    answers = []
+    for target in _region_targets(rng, region, 5, 0):
+        weights = _feasible_mixture(vectors, target)
+        assert weights == oracle_feasible_mixture(vectors, target)
+        answers.append(weights is not None)
+    assert answers == [True, False, True, False, True]

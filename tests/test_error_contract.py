@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from zdsi.errors import InvalidArgument, ZdsiError
-from zdsi.fixtures import pentagon
+from zdsi.fixtures import mt_binary, pentagon
 from zdsi.graphs import Coloring
+from zdsi.multiterminal import build_region, is_achievable
 from zdsi.probability import (
     Alphabet,
     distortion_matrix,
@@ -59,4 +60,14 @@ def _export_untraced_run():
 def test_malformed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument) as info:
         call()
+    assert isinstance(info.value, ZdsiError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), "x"], ids=["nan", "inf", "-inf", "text"]
+)
+def test_malformed_target_coordinate_raises_invalid_argument(bad):
+    region = build_region(*mt_binary())
+    with pytest.raises(InvalidArgument, match="is not a finite rational") as info:
+        is_achievable(region, (0, 1, bad, 0))
     assert isinstance(info.value, ZdsiError) and isinstance(info.value, ValueError)

@@ -4,7 +4,9 @@ Core claims:
     - point rates follow the decode order: first message at Huffman length,
       second at the RI length given the first
     - exact membership via rational simplex; witnesses have support <= 5,
-      sum to one, and mix coordinate-wise below the target
+      sum to one, and mix coordinate-wise below the target, and
+      ``verify_witness`` accepts every "yes" answer and names the condition
+      a planted bad witness fails
     - dominance and midpoint closure hold; points below a coordinate-wise
       minimum are rejected
     - with constant side information the (R_x, D_x) projection collapses to
@@ -18,14 +20,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_pareto_surface, rand_joint_pmf
+from test_pinned_outputs import _region_problem, _region_targets
 from zdsi import multiterminal, quantizers
 from zdsi.multiterminal import (
+    AchievabilityResult,
     build_region,
     enumerate_mt_points,
     is_achievable,
     MTRegion,
     pareto_surface,
     simultaneous_points,
+    verify_witness,
 )
 from zdsi.probability import (
     hamming,
@@ -34,7 +39,7 @@ from zdsi.probability import (
     marginal_source,
 )
 from zdsi.quantizers import lower_convex_envelope, optimal_decoder, rd_points
-from zdsi.errors import DomainError
+from zdsi.errors import DomainError, InvalidWitness
 from zdsi.ri_codes import huffman, solve_ri
 from zdsi.fixtures import mt_binary
 
@@ -257,3 +262,36 @@ def test_pareto_surface_matches_all_pairs_oracle():
         want = oracle_pareto_surface(points)
         got = pareto_surface(MTRegion(tuple(points)))
         assert [id(p) for p in got] == [id(p) for p in want]
+
+
+def test_every_yes_answer_passes_verify_witness():
+    rng = random.Random(2)
+    checked = 0
+    for region in (build_region(*mt_binary()), build_region(*_region_problem(rng, 3, 4))):
+        targets = [p.coords for p in region.points] + _region_targets(rng, region, 6, 0)
+        for target in targets:
+            result = is_achievable(region, target)
+            if result.achievable:
+                verify_witness(region, target, result)
+                checked += 1
+    assert checked >= 8 + 150
+
+
+def test_verify_witness_names_the_failed_condition():
+    region = build_region(*mt_binary())
+    target = (0, 1, 0, 0)
+    good = is_achievable(region, target)
+    verify_witness(region, target, good)
+    ((_, p),) = good.witness
+    over = _point(region.points, (0, 0), (0, 0))  # Dx = Dy = 1/2 > 0
+    planted = [
+        (None, "no witness"),
+        (((Fraction(1, 6), p),) * 6, "6 weights, more than 5"),
+        (((Fraction(1), p), (Fraction(0), over)), "not > 0"),
+        (((Fraction(1, 2), p),), "sum to 1/2, not 1"),
+        (((Fraction(1), replace(p)),), "not one of the region's points"),
+        (((Fraction(1), over),), "Dx 1/2 exceeds the target's 0"),
+    ]
+    for witness, condition in planted:
+        with pytest.raises(InvalidWitness, match=condition):
+            verify_witness(region, target, AchievabilityResult(witness is not None, witness))

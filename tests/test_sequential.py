@@ -20,6 +20,8 @@ import pytest
 from zdsi.errors import DomainError, TooLarge
 from zdsi.probability import distortion_matrix, hamming, integer_alphabet
 from zdsi.sequential import (
+    WORK_CAP,
+    _check_work,
     pc_lower_bound,
     rd_function,
     simulate_prefix_uniqueness,
@@ -239,3 +241,10 @@ def test_scheme_csv_row_shape():
     )
     row = report.csv_row()
     assert len(row.split(",")) == 10
+
+
+def test_work_cap_admits_exactly_the_cap():
+    _check_work(1, WORK_CAP)
+    _check_work(WORK_CAP, 1)
+    with pytest.raises(TooLarge, match="exceed the work cap"):
+        _check_work(2, WORK_CAP // 2 + 1)
